@@ -33,7 +33,10 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, bool):
         raise ConfigError(f"expected a rational, got {value!r}")
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return parse_rational(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"expected a rational as 'p/q', got {value!r}") from exc
     if isinstance(value, int):
         return Fraction(value)
     raise ConfigError(f"expected a rational as 'p/q' or integer, got {value!r}")
@@ -72,9 +75,10 @@ def config_from_dict(data: dict) -> SurfaceConfig:
             raise ConfigError(f"unknown singularity type {kind!r}: only A_n is supported")
         n = entry.get("n")
         count = entry.get("count")
-        if not isinstance(n, int) or n < 1:
+        # bool is a subclass of int: reject it, or true would read as 1
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError(f"singularity index n must be an integer >= 1, got {n!r}")
-        if not isinstance(count, int) or count < 1:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
             raise ConfigError(f"count must be a positive integer, got {count!r}")
         singularities.append((n, count))
     return SurfaceConfig(name=name, s2=s2, singularities=tuple(singularities))

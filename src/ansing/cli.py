@@ -1,11 +1,11 @@
 """Command-line surface: one verb per computation, JSON (default) or CSV out.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure (formula vs
-oracle mismatch, integrality failure, non-rational group average, or an
-unfittable sequence).  Verification verbs exit nonzero on mismatch so CI can
-gate on them.  Rationals are serialized as "p/q" everywhere, timestamps are
-suppressed with --no-timestamp, and sweeps can fan out over worker processes
-and persist rows in an append-only checksummed cache.
+oracle mismatch, integrality failure, or an unfittable sequence).
+Verification verbs exit nonzero on mismatch so CI can gate on them.
+Rationals are serialized as "p/q" everywhere, timestamps are suppressed with
+--no-timestamp, and sweeps can fan out over worker processes and persist
+rows in an append-only checksummed cache.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import io
 import json
@@ -23,7 +24,6 @@ from pathlib import Path
 
 from . import asymptotics, bigness, extension, invariants, latticesum, oracle, quasifit
 from .exactmath import format_rational
-from .invariants import NonRationalError
 from .quasifit import FitRequest, InsufficientSamplesError, NoPeriodFitsError
 
 
@@ -280,7 +280,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every run."""
     parser = argparse.ArgumentParser(
         prog="ansing",
         description="Exact invariants of A_n surface singularities.",
@@ -354,7 +356,7 @@ def run(argv: list[str]) -> int:
     except (CliInputError, bigness.ConfigError, InsufficientSamplesError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (NonRationalError, NoPeriodFitsError) as exc:
+    except NoPeriodFitsError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
     payload = _jsonable(payload)

@@ -1,11 +1,12 @@
 """Exact arithmetic kernel: rationals, cyclotomic field elements, quasi-polynomials.
 
-Every value in this package is an exact rational or an element of the
-cyclotomic field Q(zeta_N).  Rationals are stdlib ``fractions.Fraction``
-(always reduced, denominator positive, canonical zero 0/1); this module adds
-the "p/q" string codec, mathematical floor/ceil of integer ratios, cyclotomic
-polynomials, field arithmetic modulo Phi_N, and branch-evaluated
-quasi-polynomials.  Floating point never enters except through explicit
+Every value in this package is an exact rational.  Rationals are stdlib
+``fractions.Fraction`` (always reduced, denominator positive, canonical zero
+0/1); this module adds the "p/q" string codec, mathematical floor/ceil of
+integer ratios, cyclotomic polynomials, field arithmetic modulo Phi_N, and
+branch-evaluated quasi-polynomials.  The cyclotomic field Q(zeta_N) is on no
+runtime path: it backs the test oracle that evaluates the group average mu
+the long way.  Floating point never enters except through explicit
 ``float()`` escape hatches in limit checks elsewhere.
 
 All containers here are immutable after construction and safe to share

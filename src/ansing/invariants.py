@@ -9,9 +9,9 @@ where chi_orb is the orbifold Euler characteristic polynomial built from the
 local Chern numbers (c1^2 = 0 and c2 = n(n+2)/(n+1) for type A_n, with
 s2 = c1^2 - c2), and mu averages trace-over-determinant of the symmetric
 powers of the defining cyclic representation diag(eps, eps^n).  mu is
-computed entirely inside Q(zeta_{n+1}) with exact inversion; the group
-average is Galois-stable, so a nonzero non-constant coordinate in the result
-signals an arithmetic bug and raises.
+evaluated in closed form: since eps^n = eps^-1, the sum over group elements
+is a finite Fourier-Dedekind sum with an exact rational value, so mu never
+leaves the rationals.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import CycloElement
 from .latticesum import hsum
-
-
-class NonRationalError(ArithmeticError):
-    """A cyclotomic value that must be rational has nonzero zeta-coordinates."""
 
 
 @dataclass(frozen=True)
@@ -60,47 +55,31 @@ def chi_orb(n: int, m: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _denominator_inverses(n: int) -> tuple[CycloElement, ...]:
-    """Inverses of det(Id - g) = (1 - zeta^j)(1 - zeta^jn) for j = 1..n."""
-    order = n + 1
-    one = CycloElement.one(order)
-    inverses = []
-    for j in range(1, n + 1):
-        det = (one - CycloElement.zeta_pow(order, j)) * (
-            one - CycloElement.zeta_pow(order, j * n)
-        )
-        inverses.append(det.inverse())
-    return tuple(inverses)
-
-
-@functools.lru_cache(maxsize=None)
 def mu(n: int, m: int) -> Fraction:
     """Group average of trace/determinant over the nontrivial elements.
 
-    The trace of the m-th symmetric power of diag(eps^j, eps^jn) is
-    sum over q = 0..m of eps^(j(m-q) + jnq); exponents are accumulated as
-    counts per residue so the trace costs O(m + n).
+    For g = diag(zeta^j, zeta^-j) with zeta a primitive N-th root of unity,
+    N = n + 1, the trace on the m-th symmetric power is the sum over
+    q = 0..m of zeta^(j(m - 2q)) and det(Id - g) = |1 - zeta^j|^2.  The
+    Fourier-Dedekind sum (Beck-Robins, Computing the Continuous Discretely,
+    ch. 8)
+
+        S(k) = sum_{j=1}^{N-1} zeta^(jk) / |1 - zeta^j|^2
+             = (N^2 - 1)/12 - k(N - k)/2        for 0 <= k < N
+
+    turns the average into (1/N) sum_k c_k S(k), where c_k counts the q in
+    0..m with (m - 2q) mod N = k.  The residue depends only on q mod N, so
+    the N smallest q stand for their classes and the sum costs O(min(m, N)).
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     order = n + 1
-    inverses = _denominator_inverses(n)
-    total = CycloElement.zero(order)
-    for j in range(1, n + 1):
-        counts = [0] * order
-        exponent = (j * m) % order
-        step = (j * (n - 1)) % order
-        for _ in range(m + 1):
-            counts[exponent] += 1
-            exponent = (exponent + step) % order
-        trace = CycloElement._from_poly(order, counts)
-        total = total + trace * inverses[j - 1]
-    value = total * Fraction(1, order)
-    if not value.is_rational():
-        raise NonRationalError(
-            f"mu({n}, {m}) has nonzero cyclotomic coordinates: {value.coeffs}"
-        )
-    return value.rational_part()
+    total = 0
+    for q in range(min(m, n) + 1):
+        k = (m - 2 * q) % order
+        count = (m - q) // order + 1  # the q' = q mod N in 0..m
+        total += count * (order * order - 1 - 6 * k * (order - k))  # 12 S(k)
+    return Fraction(total, 12 * order)
 
 
 def h1(n: int, m: int) -> Fraction:

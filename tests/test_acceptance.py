@@ -27,6 +27,7 @@ from ansing.latticesum import admissible_triples, hsum, hsum_triple, weight
 from ansing.monoblocks import TripleIndex, parity_holds
 from ansing.oracle import general_position_check, hsum_oracle, hsum_oracle_triple
 from ansing.quasifit import FitRequest, NoPeriodFitsError, fit
+from cyclo_oracle import mu_coordinates
 
 EXAMPLE1 = QuasiPolynomial(
     6,
@@ -239,14 +240,17 @@ def test_criterion_10_extension_criterion():
 
 
 def test_criterion_11_mu_rationality_and_quasi_linearity():
-    # rationality is asserted: mu() raises on any nonzero zeta-coordinate
-    rational_fail = []
+    # the closed form must equal the group average evaluated in Q(zeta_{n+1}),
+    # and that evaluation must have no nonzero zeta-coordinate
+    mismatch = []
+    non_rational = []
     for n in range(1, 31):
         for m in range(0, 31):
-            try:
-                mu(n, m)
-            except ArithmeticError:
-                rational_fail.append((n, m))
+            coords = mu_coordinates(n, m)
+            if any(coords[1:]):
+                non_rational.append((n, m))
+            if coords[0] != mu(n, m):
+                mismatch.append((n, m))
     # the period window is empirical: detected periods are reported, not asserted
     detected = {}
     for n in range(1, 11):
@@ -261,8 +265,10 @@ def test_criterion_11_mu_rationality_and_quasi_linearity():
     print(f"  mu quasi-linear periods by n (window 2(n+1), reported): {detected}")
     _report(
         11,
-        "mu is exactly rational for n <= 30, m <= 30; degree-1 fit periods reported",
-        not rational_fail,
+        "mu is exactly rational and equals its cyclotomic evaluation for n <= 30, "
+        "m <= 30; degree-1 fit periods reported",
+        not mismatch and not non_rational,
+        f"mismatches {mismatch[:5]}, non-rational {non_rational[:5]}",
     )
 
 

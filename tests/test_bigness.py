@@ -83,6 +83,26 @@ def test_rejections():
         config_from_dict({"s2": True, "singularities": []})
 
 
+def test_rejects_unparsable_rational():
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": "abc", "singularities": []})
+
+
+def test_rejects_zero_denominator():
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": "1/0", "singularities": []})
+
+
+def test_rejects_bool_singularity_index():
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": "1", "singularities": [{"n": True, "count": 1}]})
+
+
+def test_rejects_bool_count():
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": "1", "singularities": [{"n": 1, "count": True}]})
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "surface.json"
     path.write_text(

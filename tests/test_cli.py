@@ -126,6 +126,20 @@ def test_bigness_unreadable_config_exits_2(capsys, tmp_path):
     assert "unreadable" in captured.err
 
 
+def test_bigness_malformed_config_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    for data in (
+        {"s2": "abc", "singularities": []},
+        {"s2": "1/0", "singularities": []},
+        {"s2": "1", "singularities": [{"n": True, "count": 1}]},
+    ):
+        cfg.write_text(json.dumps(data))
+        code, captured = run_raw(capsys, ["bigness", "--config", str(cfg)])
+        assert code == 2
+        assert captured.out == ""
+        assert "error" in json.loads(captured.err)
+
+
 def test_limits_verb(capsys):
     code, payload = run_json(capsys, ["limits", "--n", "30", "--no-timestamp"])
     assert code == 0
@@ -247,3 +261,25 @@ def test_invalid_inputs_exit_2(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert cli.run(["frobnicate"]) == 2
+
+
+def test_cached_parser_matches_fresh_parser(capsys):
+    # the parser is built once per process; runs with different verbs and
+    # flags must not leak state into each other
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ["hsum", "--n", "2", "--m", "6", "--csv"],
+        ["h1", "--n", "2", "--m", "2", "--no-timestamp"],
+        ["hsum", "--n", "abc"],
+        ["fit", "--n", "2", "--max-period", "6", "--no-timestamp"],
+        ["mu", "--n", "5", "--m", "12", "--no-timestamp"],
+    ]
+    cached = [run_raw(capsys, argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(run_raw(capsys, argv))
+    for (code_a, out_a), (code_b, out_b) in zip(cached, fresh):
+        assert code_a == code_b
+        assert out_a.out == out_b.out and out_a.err == out_b.err
+    assert [code for code, _ in cached] == [0, 0, 2, 0, 0]

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ansing.asymptotics import h0_omega
+from ansing.exactmath import CycloElement, cyclotomic_polynomial
 from ansing.invariants import (
     chern_local,
     chi_orb,
@@ -13,6 +14,7 @@ from ansing.invariants import (
     invariant_record,
     mu,
 )
+from cyclo_oracle import mu_coordinates, mul_mod, reduce_mod, scaled_inverses
 
 TABLE_H1_OMEGA = {
     1: F(4, 27),
@@ -53,9 +55,39 @@ def test_mu_vanishing_case():
 
 
 def test_mu_is_rational_moderate_range():
+    # the cyclotomic evaluation is rational and agrees with the closed form
     for n in range(1, 13):
         for m in range(0, 13):
-            mu(n, m)  # raises NonRationalError on any failure
+            coords = mu_coordinates(n, m)
+            assert not any(coords[1:])
+            assert coords[0] == mu(n, m)
+
+
+def test_fourier_dedekind_identity():
+    # sum_j zeta^(jk) (1 - zeta^j)^-1 (1 - zeta^-j)^-1 == (N^2 - 1)/12 - k(N - k)/2
+    # in Q(zeta_N), with the inverses from CycloElement.inverse
+    for order in range(2, 32):
+        modulus = cyclotomic_polynomial(order)
+        degree = len(modulus) - 1
+        common, rows = scaled_inverses(order)
+        one = CycloElement.one(order)
+        for j, row in enumerate(rows, start=1):
+            det = (one - CycloElement.zeta_pow(order, j)) * (
+                one - CycloElement.zeta_pow(order, -j)
+            )
+            assert all(c.denominator == 1 for c in det.coeffs)
+            det_coords = [int(c) for c in det.coeffs]
+            assert mul_mod(row, det_coords, modulus) == [common] + [0] * (degree - 1)
+        for k in range(order):
+            poly = [0] * (order + degree)
+            for j, row in enumerate(rows, start=1):
+                shift = j * k % order
+                for i, c in enumerate(row):
+                    poly[shift + i] += c
+            coords = reduce_mod(poly, modulus)
+            expected = F(order * order - 1, 12) - F(k * (order - k), 2)
+            assert F(coords[0], common) == expected
+            assert not any(coords[1:])
 
 
 def test_mu_against_complex_float_average():
