@@ -92,11 +92,15 @@ def h1_omega(n: int) -> Fraction:
     if n < 1:
         raise ValueError("need n >= 1")
     basel = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
-    poly = Fraction(
+    return _omega_rational_part(n) - Fraction(4, 3) * basel
+
+
+def _omega_rational_part(n: int) -> Fraction:
+    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
+    return Fraction(
         n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
         6 * (n + 1) ** 2 * (n + 2) ** 2,
     )
-    return poly - Fraction(4, 3) * basel
 
 
 def h1_omega_float(n: int) -> float:
@@ -115,6 +119,11 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
     The closed formula grows like n/6, so h1_omega eventually exceeds any
     threshold; the report records where the given one is first passed and
     samples 6*h1_omega(n)/n at large n in float.
+
+    h1_omega(n) - h1_omega(n-1) is the step of the rational part minus
+    4/(3n^2), so growth is tested step by step on small fractions.  The
+    Basel partial sum, whose denominators grow like lcm(1..n)^2, is carried
+    only until the threshold is passed.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
@@ -123,16 +132,14 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
     basel = Fraction(0)
     previous = None
     for n in range(1, n_max + 1):
-        basel += Fraction(1, n * n)
-        value = Fraction(
-            n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
-            6 * (n + 1) ** 2 * (n + 2) ** 2,
-        ) - Fraction(4, 3) * basel
-        if previous is not None and not value > previous:
+        part = _omega_rational_part(n)
+        if previous is not None and not part - previous > Fraction(4, 3 * n * n):
             increasing = False
-        if first_exceeds is None and value > threshold:
-            first_exceeds = n
-        previous = value
+        if first_exceeds is None:
+            basel += Fraction(1, n * n)
+            if part - Fraction(4, 3) * basel > threshold:
+                first_exceeds = n
+        previous = part
     ratio_samples = [
         {"n": n, "ratio": 6 * h1_omega_float(n) / n} for n in (1000, 10000)
     ]

@@ -14,6 +14,8 @@ The polygon is stored through its upper-half inequalities
 and extended to x2 < 0 by the reflection x2 -> -x2 (the weight is an even
 function of x2).  Points off the polygon or failing parity get weight 0, so
 the weight is a total function and summation never needs a membership guard.
+``hsum`` itself never calls ``weight``: it sums each row x2 = const in
+closed form (``_row_sum``).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .monoblocks import TripleIndex, codim_reg, dim_vreg, parity_holds
+from .monoblocks import TripleIndex, codim_reg, dim_vreg
 
 LatticePoint = tuple[int, int]
 
@@ -95,21 +97,89 @@ def lattice_points(poly: Polygon) -> Iterator[LatticePoint]:
 
 @lru_cache(maxsize=None)
 def hsum(n: int, m: int) -> int:
-    """Total obstruction count: sum of weights over parity-valid points."""
+    """Total obstruction count: sum of weights over parity-valid points.
+
+    The weight is even in x2 and the x1 range depends only on a = |x2|, so
+    row a = 0 is summed once and rows a = 1..m+1 twice, each in closed form
+    by ``_row_sum``.
+    """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    total = 0
-    for x2 in range(-(m + 1), m + 2):
-        a = abs(x2)
-        x1_lo = max(0, (n + 1) * a - m - 2)
-        x1_hi = m + (n - 1) * a
-        if x1_hi < x1_lo:
-            continue
-        # first x1 >= x1_lo with x1 + (n+1) x2 == m (mod 2)
-        start = x1_lo + ((m + (n + 1) * x2 - x1_lo) % 2)
-        for x1 in range(start, x1_hi + 1, 2):
-            total += weight(n, m, (x1, x2))
+    total = _row_sum(n, m, 0)
+    for a in range(1, m + 2):
+        total += 2 * _row_sum(n, m, a)
     return total
+
+
+def _triangle(k: int) -> int:
+    """1 + 2 + ... + k, and 0 for k <= 0: the sum of a ramp's positive values."""
+    return k * (k + 1) // 2 if k > 0 else 0
+
+
+def _row_sum(n: int, m: int, a: int) -> int:
+    """Sum of the weights on row |x2| = a, without visiting its points.
+
+    Write x1 = start + 2j for j = 0..last.  With low = (m - start - (n+1)a)/2
+    the halved chart terms of ``weight`` become ramps in j whose breakpoints
+    are equally spaced by a: the boundary charts give (low - j)+ and
+    (high - j)+ with high = low + (n+1)a, and interior chart r gives
+    (low + (r+1)a - j)+.  So the weight is max(0, min(cap(j), tot(j))) with
+
+        cap(j) = m+1 - (low - j)+ - (high - j)+     nondecreasing,
+        tot(j) = sum_r (low + (r+1)a - j)+           nonincreasing.
+
+    Bisection finds the crossing, the first j with cap(j) >= tot(j); the
+    weight is cap(j) before it, clipped to 0 below the first j with
+    cap(j) >= 1, and tot(j) from it on.  Each side is a sum of ramps, i.e. a
+    difference of triangular numbers.  The top interior breakpoint
+    low + n*a is x1_hi's j, so tot vanishes at j = last and the crossing
+    always lies in 0..last.
+    """
+    x1_lo = max(0, (n + 1) * a - m - 2)
+    start = x1_lo + (m + (n + 1) * a - x1_lo) % 2
+    low = (m - start - (n + 1) * a) // 2
+    high = low + (n + 1) * a
+    last = low + n * a
+
+    def interior(j: int) -> tuple[int, int, int]:
+        """Count, smallest value and sum (= tot(j)) of the positive interior ramps."""
+        if a == 0:
+            return (n, low - j, n * (low - j)) if low > j else (0, 0, 0)
+        first = max(1, (j - low) // a + 1)
+        count = max(0, n + 1 - first)
+        smallest = low + first * a - j
+        return count, smallest, count * smallest + a * count * (count - 1) // 2
+
+    lo, hi = 0, last
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if m + 1 - max(0, low - mid) - max(0, high - mid) >= interior(mid)[2]:
+            hi = mid
+        else:
+            lo = mid + 1
+    cross = lo
+
+    # sum of tot(j) for j >= cross: sum of triangle(e) over the positive
+    # interior ramps e = smallest + i*a, i < count, at j = cross
+    count, smallest, linear = interior(cross)
+    pairs = count * (count - 1) // 2
+    square = (
+        count * smallest * smallest
+        + 2 * a * smallest * pairs
+        + a * a * (count - 1) * count * (2 * count - 1) // 6
+    )
+    row = (linear + square) // 2
+
+    # sum of cap(j) for positive_from <= j < cross; cap(j) >= 1 exactly when
+    # j >= high - m and 2j >= low + high - m (cap is a min of affine terms)
+    positive_from = max(0, high - m, -((m - low - high) // 2))
+    if positive_from < cross:
+        row += (
+            (cross - positive_from) * (m + 1)
+            - _triangle(low - positive_from) + _triangle(low - cross)
+            - _triangle(high - positive_from) + _triangle(high - cross)
+        )
+    return row
 
 
 def hsum_triple(t: TripleIndex) -> int:
@@ -127,23 +197,3 @@ def hsum_triple(t: TripleIndex) -> int:
         if total >= cap:
             return cap
     return total
-
-
-def admissible_triples(n: int, m: int, i_max: int | None = None) -> Iterator[TripleIndex]:
-    """Parity-valid triples with |khat| <= (i+m)/(n+1) and 0 <= i <= i_max.
-
-    The default scan bound (n+1)m + n is a safe superset of the support of
-    the weight; triples beyond the polygon contribute zero.
-    """
-    if i_max is None:
-        i_max = (n + 1) * m + n
-    for i in range(i_max + 1):
-        bound = (i + m) // (n + 1)
-        for khat in range(-bound, bound + 1):
-            if parity_holds(n, khat, i, m):
-                yield TripleIndex(n, khat, i, m)
-
-
-def hsum_via_triples(n: int, m: int) -> int:
-    """hsum recomputed blockwise over admissible triples."""
-    return sum(hsum_triple(t) for t in admissible_triples(n, m))

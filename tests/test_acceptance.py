@@ -23,11 +23,12 @@ from ansing.bigness import (
 from ansing.exactmath import QuasiPolynomial, quasi_eval
 from ansing.extension import divisor_D, divisor_D_bruteforce, divisor_D_case_formula, extends_holomorphically
 from ansing.invariants import h1, h1_omega, mu
-from ansing.latticesum import admissible_triples, hsum, hsum_triple, weight
+from ansing.latticesum import hsum, hsum_triple, weight
 from ansing.monoblocks import TripleIndex, parity_holds
 from ansing.oracle import general_position_check, hsum_oracle, hsum_oracle_triple
 from ansing.quasifit import FitRequest, NoPeriodFitsError, fit
 from cyclo_oracle import mu_coordinates
+from lattice_oracle import admissible_triples
 
 EXAMPLE1 = QuasiPolynomial(
     6,

@@ -152,6 +152,35 @@ def test_h1_omega_limit_report():
     assert abs(ratios[10000] - 1.0) < 1e-3
 
 
+def _limit_report_by_accumulation(n_max, threshold):
+    """The report's two verdicts from exact h1_omega values, one by one."""
+    increasing = True
+    first_exceeds = None
+    basel = F(0)
+    previous = None
+    for n in range(1, n_max + 1):
+        basel += F(1, n * n)
+        value = F(
+            n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
+            6 * (n + 1) ** 2 * (n + 2) ** 2,
+        ) - F(4, 3) * basel
+        if previous is not None and not value > previous:
+            increasing = False
+        if first_exceeds is None and value > threshold:
+            first_exceeds = n
+        previous = value
+    return increasing, first_exceeds
+
+
+def test_h1_omega_limit_report_matches_exact_accumulation():
+    for threshold in (0, F(1, 2), 10, 30, 60):
+        for n_max in (*range(2, 66), 120, 180, 181, 182, 300):
+            report = h1_omega_limit_report(n_max, threshold)
+            expected = _limit_report_by_accumulation(n_max, threshold)
+            assert (report["strictly_increasing"], report["first_n_exceeding_threshold"]) == expected
+            assert report["n_max"] == n_max and report["threshold"] == threshold
+
+
 def test_h1_asymptotic_consistency():
     # h1(n, m)/m^3 approaches h1_omega(n) at rate O(1/m)
     for n in (1, 2, 3):

@@ -2,16 +2,9 @@ import random
 
 import pytest
 
-from ansing.latticesum import (
-    admissible_triples,
-    hsum,
-    hsum_triple,
-    hsum_via_triples,
-    lattice_points,
-    polygon,
-    weight,
-)
+from ansing.latticesum import hsum, hsum_triple, lattice_points, polygon, weight
 from ansing.monoblocks import TripleIndex
+from lattice_oracle import admissible_triples, hsum_pointwise, hsum_via_triples
 
 
 def test_weight_examples():
@@ -132,3 +125,26 @@ def test_input_validation():
         hsum(1, -1)
     with pytest.raises(ValueError):
         polygon(1, -2)
+
+
+def test_row_sums_match_pointwise_walk_on_grid():
+    mismatches = [
+        (n, m)
+        for n in range(1, 13)
+        for m in range(0, 61)
+        if hsum(n, m) != hsum_pointwise(n, m)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("n, m", [(1, 400), (2, 300), (8, 320), (20, 200), (30, 100)])
+def test_row_sums_match_pointwise_walk_at_large_points(n, m):
+    assert hsum(n, m) == hsum_pointwise(n, m)
+
+
+def test_row_sums_match_pointwise_walk_on_edges():
+    for n in range(1, 41):
+        for m in (0, 1):
+            assert hsum(n, m) == hsum_pointwise(n, m)
+    for m in range(61, 101):
+        assert hsum(1, m) == hsum_pointwise(1, m)

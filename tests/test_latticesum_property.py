@@ -1,0 +1,18 @@
+"""Property test: the closed-form row sums equal the pointwise walk.
+
+Needs hypothesis (the ``test`` extra); the module is skipped without it.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ansing.latticesum import hsum  # noqa: E402
+from lattice_oracle import hsum_pointwise  # noqa: E402
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30), m=st.integers(min_value=0, max_value=80))
+def test_hsum_equals_pointwise_walk(n, m):
+    assert hsum(n, m) == hsum_pointwise(n, m)

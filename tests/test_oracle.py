@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ansing.latticesum import admissible_triples, hsum, hsum_triple
+from ansing.latticesum import hsum, hsum_triple
 from ansing.monoblocks import TripleIndex
 from ansing.oracle import (
     VanishingCondition,
@@ -13,6 +13,7 @@ from ansing.oracle import (
     rank,
     vanishing_rows,
 )
+from lattice_oracle import admissible_triples
 
 
 def _rank_fraction_elimination(rows, ncols):
