@@ -140,16 +140,21 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
             if part - Fraction(4, 3) * basel > threshold:
                 first_exceeds = n
         previous = part
-    ratio_samples = [
-        {"n": n, "ratio": 6 * h1_omega_float(n) / n} for n in (1000, 10000)
-    ]
     return {
         "n_max": n_max,
         "strictly_increasing": increasing,
         "threshold": Fraction(threshold),
         "first_n_exceeding_threshold": first_exceeds,
-        "leading_ratio_samples": ratio_samples,
+        "leading_ratio_samples": [
+            {"n": n, "ratio": ratio} for n, ratio in _leading_ratios()
+        ],
     }
+
+
+@functools.cache
+def _leading_ratios() -> tuple[tuple[int, float], ...]:
+    """6*h1_omega(n)/n in float at n = 1000 and 10000; input-independent."""
+    return tuple((n, 6 * h1_omega_float(n) / n) for n in (1000, 10000))
 
 
 def invariant_record(n: int, m: int) -> dict:

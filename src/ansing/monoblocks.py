@@ -8,8 +8,11 @@ and pullback data of a block on each resolution chart r, and count how many
 monomials of a block fail to be regular along the exceptional curve meeting
 that chart.
 
-Half-integer intermediates are computed as exact rationals and asserted
-integral at the boundary, so the defining formulas appear verbatim.
+Half-integer intermediates of the block degree and the chart exponents are
+computed as exact rationals and asserted integral at the boundary, so the
+defining formulas appear verbatim.  codim_reg, which the oracle calls once
+per chart and block, works with twice its value in integers and checks the
+parity instead.
 """
 
 from __future__ import annotations
@@ -143,12 +146,15 @@ def codim_reg(t: TripleIndex, r: int) -> int:
     """Number of block monomials with a pole along the curve met by chart r.
 
     Equals max{0, (m-i)/2 + ((2r-n+1)/2) khat}, which is also -i1 clamped at
-    zero; for admissible triples it never exceeds m.
+    zero; for admissible triples it never exceeds m.  The value is formed
+    doubled, so an odd numerator raises ArithmeticError.
     """
     if not -1 <= r <= t.n:
         raise ValueError(f"chart index r={r} outside -1..{t.n}")
-    value = Fraction(t.m - t.i, 2) + Fraction(2 * r - t.n + 1, 2) * t.khat
-    return max(0, _as_int(value, "codim"))
+    twice = (t.m - t.i) + (2 * r - t.n + 1) * t.khat
+    if twice % 2:
+        raise ArithmeticError(f"codim is not integral: {twice}/2")
+    return max(0, twice // 2)
 
 
 def dim_vreg(t: TripleIndex) -> int:

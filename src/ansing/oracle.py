@@ -11,13 +11,20 @@ charts r in {-1, n}:
     oracle dimension = rank_all - rank_ends
 
 since the regular part of the block has dimension (m+1) - rank_ends and the
-unobstructed subspace has dimension (m+1) - rank_all.  Ranks come from
-fraction-free (Bareiss) elimination over the integers and are computed,
-never assumed.
+unobstructed subspace has dimension (m+1) - rank_all.  Ranks are computed,
+never assumed, and are exact over Q.  Each is first taken by elimination
+over the prime field F_p: a minor that is nonzero mod p is nonzero over Z,
+so rank_p <= rank_Q <= min(rows, cols), and rank_p reaching that bound
+certifies the rational rank.  Only a rank that falls short of the bound is
+recomputed by fraction-free (Bareiss) elimination over the integers.  By
+Hermite interpolation on P^1 every system the oracle stacks has full rank,
+so on its own matrices the certificate holds unless p divides a maximal
+minor.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .monoblocks import TripleIndex, codim_reg, parity_holds
@@ -37,18 +44,35 @@ class VanishingCondition:
             raise ValueError("multiplicity must be >= 0")
 
 
+# The largest prime below 2^30: residues are one-digit CPython ints, which
+# multiply and reduce on the interpreter's fast paths.  An unlucky p costs
+# time, never correctness: p dividing a maximal minor only sends the rank to
+# Bareiss.
+_PRIME = 2**30 - 35
+
+
 def vanishing_rows(cond: VanishingCondition, m: int) -> list[list[int]]:
     """Linear conditions on the m+1 coefficients of P = sum p_l X^(m-l) Y^l.
 
     Row t is the t-th derivative of P along a fixed direction transversal to
-    [a : b], evaluated at (a, b), for t = 0..multiplicity-1.  Any row set
-    with the same row space is acceptable; only the rank matters.
+    [a : b], evaluated at (a, b), for t = 0..multiplicity-1; rows past t = m
+    are zero.  Any row set with the same row space is acceptable; only the
+    rank matters.  The rows are fresh lists, so callers may mutate them.
     """
     if cond.multiplicity < 1:
         raise ValueError("need multiplicity >= 1")
-    a, b = cond.point
-    rows: list[list[int]] = []
-    for t in range(cond.multiplicity):
+    table = _derivative_table(cond.point, m)
+    rows = [list(row) for row in table[: cond.multiplicity]]
+    rows.extend([0] * (m + 1) for _ in range(cond.multiplicity - len(table)))
+    return rows
+
+
+@functools.lru_cache(maxsize=256)
+def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], ...]:
+    """All m+1 derivative rows t = 0..m of the point [a : b] in degree m."""
+    a, b = point
+    table = []
+    for t in range(m + 1):
         row = [0] * (m + 1)
         for l in range(m + 1):
             if b != 0:
@@ -68,17 +92,61 @@ def vanishing_rows(cond: VanishingCondition, m: int) -> list[list[int]]:
                 for s in range(t):
                     falling *= l - s
                 row[l] = falling * a ** (m - l) * b ** (l - t)
-        rows.append(row)
-    return rows
+        table.append(tuple(row))
+    return tuple(table)
 
 
 def rank(rows: list[list[int]], ncols: int) -> int:
-    """Rank by fraction-free Gaussian elimination (Bareiss).
+    """Exact rank over Q of an integer matrix, certified mod p when it can be.
+
+    Zero rows are dropped and the rest are eliminated over F_p for the fixed
+    prime p = 2^30 - 35.  A minor that is nonzero mod p is nonzero over Z, so
+    rank_p <= rank_Q <= min(nrows, ncols); when rank_p reaches that bound it
+    is the rank.  Otherwise p may have hidden a pivot, and the rank is
+    recomputed by fraction-free Gaussian elimination (Bareiss) over Z.
+    """
+    matrix = [row for row in rows if any(row)]
+    bound = min(len(matrix), ncols)
+    if _rank_mod_p(matrix, ncols) == bound:
+        return bound
+    return _rank_bareiss(matrix, ncols)
+
+
+def _rank_mod_p(matrix: list[list[int]], ncols: int) -> int:
+    """Rank over F_p of the integer matrix reduced mod p."""
+    p = _PRIME
+    reduced = [[x % p for x in row] for row in matrix]
+    nrows = len(reduced)
+    found = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(found, nrows):
+            if reduced[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        reduced[found], reduced[pivot] = reduced[pivot], reduced[found]
+        row_p = reduced[found]
+        inverse = pow(row_p[col], -1, p)
+        row_p = [x * inverse % p for x in row_p[col + 1 :]]
+        for r in range(found + 1, nrows):
+            row_r = reduced[r]
+            factor = row_r[col]
+            if factor:
+                tail = [(x - factor * y) % p for x, y in zip(row_r[col + 1 :], row_p)]
+                row_r[col + 1 :] = tail
+        found += 1
+    return found
+
+
+def _rank_bareiss(matrix: list[list[int]], ncols: int) -> int:
+    """Rank by fraction-free Gaussian elimination (Bareiss) over Z.
 
     Entries stay integral: every intermediate entry is a minor of the input
     matrix, so the division by the previous pivot is exact.
     """
-    matrix = [list(row) for row in rows if any(row)]
+    matrix = [list(row) for row in matrix]
     nrows = len(matrix)
     pivot_row = 0
     prev_pivot = 1
@@ -144,7 +212,11 @@ def general_position_check(t: TripleIndex) -> bool:
     """True iff the stacked conditions are independent up to the ambient cap.
 
     The stacked rank must equal min(m+1, total multiplicity): every
-    intersection of the chart subspaces has the expected codimension.
+    intersection of the chart subspaces has the expected codimension.  This
+    is a theorem, not an empirical finding: by Hermite interpolation on P^1
+    a nonzero binary form of degree m has at most m zeros counted with
+    multiplicity, so conditions at the distinct chart points are independent
+    up to m+1.  A False therefore means a defect in vanishing_rows or rank.
     """
     conds = conditions_for_triple(t)
     total = sum(c.multiplicity for c in conds)

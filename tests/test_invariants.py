@@ -150,6 +150,10 @@ def test_h1_omega_limit_report():
     assert report["first_n_exceeding_threshold"] <= 100
     ratios = {entry["n"]: entry["ratio"] for entry in report["leading_ratio_samples"]}
     assert abs(ratios[10000] - 1.0) < 1e-3
+    # the samples are computed once per process, bit for bit as the float loop gives them
+    assert ratios == {n: 6 * h1_omega_float(n) / n for n in (1000, 10000)}
+    report["leading_ratio_samples"][0]["ratio"] = 0.0
+    assert h1_omega_limit_report(120)["leading_ratio_samples"][0]["ratio"] == ratios[1000]
 
 
 def _limit_report_by_accumulation(n_max, threshold):

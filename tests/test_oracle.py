@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from ansing import oracle
 from ansing.latticesum import hsum, hsum_triple
 from ansing.monoblocks import TripleIndex
 from ansing.oracle import (
+    _PRIME,
     VanishingCondition,
     general_position_check,
     hsum_oracle,
@@ -57,6 +60,70 @@ def test_vanishing_rows_double_point_rank_two():
     # the stated row space: P(1,1) = 0 and its X-derivative
     reference = [[1, 1, 1], [2, 1, 0]]
     assert rank(rows + reference, 3) == 2
+
+
+def _vanishing_rows_direct(cond, m):
+    """One condition's rows built entry by entry, as the t-th derivative."""
+    a, b = cond.point
+    rows = []
+    for t in range(cond.multiplicity):
+        row = [0] * (m + 1)
+        for l in range(m + 1):
+            if b != 0:
+                e = m - l
+                if t <= e:
+                    row[l] = math.perm(e, t) * a ** (e - t) * b**l
+            elif t <= l:
+                row[l] = math.perm(l, t) * a ** (m - l) * b ** (l - t)
+        rows.append(row)
+    return rows
+
+
+def test_vanishing_rows_match_direct_construction():
+    for n in range(1, 5):
+        for r in range(-1, n + 1):
+            for m in range(0, 11):
+                for multiplicity in range(1, m + 2):
+                    cond = VanishingCondition((r + 1, r - n), multiplicity)
+                    assert vanishing_rows(cond, m) == _vanishing_rows_direct(cond, m)
+    # past t = m every derivative of a degree-m form vanishes
+    cond = VanishingCondition((2, -1), 5)
+    assert vanishing_rows(cond, 2) == _vanishing_rows_direct(cond, 2)
+
+
+def test_vanishing_rows_are_fresh_lists():
+    cond = VanishingCondition((3, -2), 3)
+    first = vanishing_rows(cond, 6)
+    expected = [list(row) for row in first]
+    first[0][0] = 999
+    first[1].append(7)
+    first.append([1] * 7)
+    assert vanishing_rows(cond, 6) == expected
+
+
+def test_rank_falls_back_when_p_hides_a_pivot():
+    p = _PRIME
+    assert rank([[p]], 1) == 1
+    assert rank([[p, 1], [0, p]], 2) == 2
+    # rank 2 over Q, with entries at and around p
+    deficient = [[p, p + 1, 1], [p - 1, 2 * p, p + 1], [2 * p - 1, 3 * p + 1, p + 2]]
+    assert _rank_fraction_elimination(deficient, 3) == 2
+    assert rank(deficient, 3) == 2
+    assert rank([[0, 0], [p, 2 * p]], 2) == 1
+
+
+def test_oracle_systems_are_certified_mod_p(monkeypatch):
+    # Hermite interpolation on P^1: every stacked system has full rank, so the
+    # modular pass alone must settle each rank the oracle asks for
+    def no_fallback(matrix, ncols):
+        raise AssertionError(f"Bareiss fallback on a {len(matrix)}x{ncols} oracle system")
+
+    monkeypatch.setattr(oracle, "_rank_bareiss", no_fallback)
+    for n in range(1, 4):
+        for m in range(0, 9):
+            assert hsum_oracle(n, m) == hsum(n, m)
+    for t in admissible_triples(3, 6, i_max=24):
+        assert general_position_check(t)
 
 
 def test_degenerate_point_rejected():
