@@ -17,6 +17,8 @@ import functools
 import hashlib
 import io
 import json
+import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -66,38 +68,80 @@ def _sweep_row(task: tuple[int, int]) -> dict:
 _ROW_FIELDS = ("m", "hsum", "mu", "chi_orb", "h1")
 
 
-def _row_checksum(n: int, row: dict) -> str:
-    canonical = json.dumps({"n": n, "row": row}, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+# A cache line is exactly what `_append_cache` writes,
+#     {"checksum":"<64 hex digits>",  followed by  canonical[1:]
+# where canonical, the text the checksum hashes, is {"n":<n>,"row":{...}}
+# with sorted keys and no spaces.  A line in any other layout is not served.
+_HEAD = b'{"checksum":"'
+_DIGEST = slice(len(_HEAD), len(_HEAD) + 64)
+_BODY = _DIGEST.stop + 2  # canonical[1:] starts behind the '",'
+_ROW_M = re.compile(rb',"m":(\d+),')
 
 
-def _load_cache(path: Path, n: int) -> dict[int, dict]:
+def _cache_error(path: Path, exc: OSError) -> CliInputError:
+    return CliInputError(f"cannot use --cache {path}: {exc.strerror or exc}")
+
+
+def _load_cache(path: Path, n: int, wanted: range) -> dict[int, dict]:
+    """The verified rows of `n` whose m is in `wanted`, keyed by m.
+
+    Only lines in the writer's layout, for this n and a wanted m, are
+    hashed and parsed.  A line that fails is skipped, so its row is
+    recomputed.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return {}
+    except OSError as exc:
+        raise _cache_error(path, exc) from exc
+    key = b'"n":%d,"row":' % n
     rows: dict[int, dict] = {}
-    if not path.exists():
-        return rows
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    for line in data.splitlines():
+        if not (
+            line.startswith(key, _BODY)
+            and line.startswith(_HEAD)
+            and line[_DIGEST.stop : _BODY] == b'",'
+        ):
             continue
+        found = _ROW_M.search(line, _BODY + len(key))
         try:
-            record = json.loads(line)
-            if record.get("n") != n:
+            if found is None or int(found[1]) not in wanted:
                 continue
-            row = record["row"]
-            if record.get("checksum") != _row_checksum(n, row):
+            canonical = b"{" + line[_BODY:]
+            if hashlib.sha256(canonical).hexdigest().encode("ascii") != line[_DIGEST]:
                 continue  # corrupted row: recompute
+            row = json.loads(canonical)["row"]
             # normalize key order: the cache serializes rows with sorted keys
             rows[row["m"]] = {field: row[field] for field in _ROW_FIELDS}
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             continue  # unreadable line: recompute
     return rows
 
 
 def _append_cache(path: Path, n: int, rows: list[dict]) -> None:
-    with path.open("a", encoding="utf-8") as handle:
-        for row in rows:
-            record = {"n": n, "row": row, "checksum": _row_checksum(n, row)}
-            handle.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    """Append one line per row with a single write under O_APPEND, behind a
+    newline if the file ends in a line a killed writer left unfinished."""
+    lines = []
+    for row in rows:
+        canonical = json.dumps({"n": n, "row": row}, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        lines.append(f'{{"checksum":"{digest}",{canonical[1:]}\n')
+    batch = "".join(lines).encode("utf-8")
+    try:
+        fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end:
+                os.lseek(fd, end - 1, os.SEEK_SET)
+                if os.read(fd, 1) != b"\n":
+                    batch = b"\n" + batch
+            while batch:  # a regular file takes it all at once unless the disk fills
+                batch = batch[os.write(fd, batch) :]
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise _cache_error(path, exc) from exc
 
 
 def sweep(
@@ -108,8 +152,8 @@ def sweep(
     cache_path: Path | None = None,
 ) -> list[dict]:
     """Rows {m, hsum, mu, chi_orb, h1} for m_from..m_to, ordered by m."""
-    wanted = list(range(m_from, m_to + 1))
-    cached = _load_cache(cache_path, n) if cache_path else {}
+    wanted = range(m_from, m_to + 1)
+    cached = _load_cache(cache_path, n, wanted) if cache_path else {}
     rows = {m: cached[m] for m in wanted if m in cached}
     missing = [m for m in wanted if m not in rows]
     if missing:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from ansing import cli
 from ansing.exactmath import parse_rational
@@ -233,6 +236,122 @@ def test_csv_identical_with_warm_cache(capsys, tmp_path):
     _, warm = run_raw(capsys, args + ["--cache", str(cache)])
     _, plain = run_raw(capsys, args)
     assert cold.out == warm.out == plain.out
+
+
+def _old_writer_lines(n, m_to):
+    """Each row's cache line as `json.dumps` of the whole record gives it."""
+    lines = []
+    for m in range(m_to + 1):
+        row = cli._sweep_row((n, m))
+        canonical = json.dumps({"n": n, "row": row}, sort_keys=True, separators=(",", ":"))
+        checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        record = {"n": n, "row": row, "checksum": checksum}
+        lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    return lines
+
+
+def _sweep_argv(n, m_to):
+    return ["hsum-sweep", "--n", str(n), "--m-from", "0", "--m-to", str(m_to), "--no-timestamp"]
+
+
+def _cached_sweep(capsys, cache, n, m_to):
+    """stdout of a sweep over `cache` and the number of lines it appended."""
+    before = len(cache.read_bytes().splitlines())
+    code, captured = run_raw(capsys, _sweep_argv(n, m_to) + ["--cache", str(cache)])
+    assert code == 0 and captured.err == ""
+    return captured.out, len(cache.read_bytes().splitlines()) - before
+
+
+def _cold_sweep(capsys, n, m_to):
+    code, captured = run_raw(capsys, _sweep_argv(n, m_to))
+    assert code == 0
+    return captured.out
+
+
+def test_cache_writer_keeps_record_layout(tmp_path):
+    for n in (1, 3, 10):
+        cache = tmp_path / f"rows-{n}.jsonl"
+        cli._append_cache(cache, n, [cli._sweep_row((n, m)) for m in range(6)])
+        cli._append_cache(cache, n, [cli._sweep_row((n, 6))])
+        assert cache.read_bytes() == b"".join(_old_writer_lines(n, 6))
+
+
+def test_cache_from_old_writer_served_in_full(capsys, tmp_path):
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(b"".join(_old_writer_lines(12, 3) + _old_writer_lines(2, 7)))
+    out, appended = _cached_sweep(capsys, cache, 2, 7)
+    assert appended == 0
+    assert out == _cold_sweep(capsys, 2, 7)
+
+
+@pytest.mark.parametrize("stored, asked", [(10, 1), (1, 10)])
+def test_cache_rows_of_another_n_never_served(capsys, tmp_path, stored, asked):
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(b"".join(_old_writer_lines(stored, 4)))
+    out, appended = _cached_sweep(capsys, cache, asked, 4)
+    assert appended == 5
+    assert out == _cold_sweep(capsys, asked, 4)
+
+
+def _flip_hex_digit(line):
+    digit = line[20:21]
+    return line[:20] + (b"0" if digit != b"0" else b"1") + line[21:]
+
+
+def _flip_row_byte(line):
+    at = line.index(b'"hsum":') + len(b'"hsum":')
+    return line[:at] + str((int(line[at:at + 1]) + 1) % 10).encode() + line[at + 1:]
+
+
+def _pretty_print(line):
+    return json.dumps(json.loads(line), sort_keys=True).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _flip_hex_digit,
+        _flip_row_byte,
+        lambda line: line[:-12] + b"\n",  # truncated
+        _pretty_print,
+        lambda line: b"\xff\xfe" + line[2:],  # not UTF-8
+    ],
+    ids=["hex-digit", "row-byte", "truncated", "pretty-printed", "non-utf8"],
+)
+def test_corrupt_cache_line_is_recomputed_once(capsys, tmp_path, corrupt):
+    cache = tmp_path / "rows.jsonl"
+    lines = _old_writer_lines(2, 4)
+    lines[3] = corrupt(lines[3])
+    cache.write_bytes(b"".join(lines))
+    cold = _cold_sweep(capsys, 2, 4)
+    assert _cached_sweep(capsys, cache, 2, 4) == (cold, 1)
+    assert _cached_sweep(capsys, cache, 2, 4) == (cold, 0)
+
+
+def test_torn_cache_tail_costs_one_recompute(capsys, tmp_path):
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(b"".join(_old_writer_lines(2, 4))[:-20])  # killed mid-line
+    cold = _cold_sweep(capsys, 2, 4)
+    assert _cached_sweep(capsys, cache, 2, 4) == (cold, 1)
+    assert cache.read_bytes().endswith(b"\n" + _old_writer_lines(2, 4)[4])
+    assert _cached_sweep(capsys, cache, 2, 4) == (cold, 0)
+
+
+def test_cache_of_binary_bytes_is_recomputed(capsys, tmp_path):
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(bytes(range(256)) * 4)
+    cold = _cold_sweep(capsys, 2, 3)
+    assert _cached_sweep(capsys, cache, 2, 3) == (cold, 4)
+    assert _cached_sweep(capsys, cache, 2, 3) == (cold, 0)
+
+
+@pytest.mark.parametrize("where", ["missing-dir/rows.jsonl", "."], ids=["missing-dir", "directory"])
+def test_unusable_cache_path_exits_2(capsys, tmp_path, where):
+    argv = _sweep_argv(2, 3) + ["--cache", str(tmp_path / where)]
+    code, captured = run_raw(capsys, argv)
+    assert code == 2
+    assert captured.out == ""
+    assert "--cache" in json.loads(captured.err)["error"]
 
 
 def test_parallel_sweep_matches_serial(capsys):
