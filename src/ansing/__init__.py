@@ -8,42 +8,35 @@ independent brute-force oracle for every combinatorial formula.
 """
 
 from .asymptotics import h0_omega, integral_vs_sum_check, pieces, upper_integral
-from .exactmath import CycloElement, QuasiPolynomial, Rational, format_rational, parse_rational
-from .extension import divisor_D, divisor_D_bruteforce, extends_holomorphically, pole_profile
+from .exactmath import QuasiPolynomial, format_rational, parse_rational
+from .extension import divisor_D, extends_holomorphically, pole_profile
 from .invariants import chi_orb, h1, h1_omega, mu
-from .latticesum import hsum, hsum_triple, lattice_points, polygon, weight
+from .latticesum import hsum, polygon
 from .monoblocks import TripleIndex
-from .oracle import general_position_check, hsum_oracle, hsum_oracle_triple
+from .oracle import hsum_oracle, hsum_oracle_triple
 from .quasifit import FitRequest, coefficient_report, fit
 
 __all__ = [
-    "CycloElement",
     "FitRequest",
     "QuasiPolynomial",
-    "Rational",
     "TripleIndex",
     "chi_orb",
     "coefficient_report",
     "divisor_D",
-    "divisor_D_bruteforce",
     "extends_holomorphically",
     "fit",
     "format_rational",
-    "general_position_check",
     "h0_omega",
     "h1",
     "h1_omega",
     "hsum",
     "hsum_oracle",
     "hsum_oracle_triple",
-    "hsum_triple",
     "integral_vs_sum_check",
-    "lattice_points",
     "mu",
     "parse_rational",
     "pieces",
     "pole_profile",
     "polygon",
     "upper_integral",
-    "weight",
 ]

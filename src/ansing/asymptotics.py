@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .latticesum import hsum
 
@@ -147,27 +148,56 @@ def upper_integral(n: int, m: int) -> Fraction:
     return sum((integrate_piece(p) for p in pieces(n, m)), Fraction(0))
 
 
+def _basel_sums(n_max: int) -> Iterator[Fraction]:
+    """The exact partial sums 1, 1 + 1/4, ..., 1 + 1/4 + ... + 1/n_max^2."""
+    total = Fraction(0)
+    for j in range(1, n_max + 1):
+        total += Fraction(1, j * j)
+        yield total
+
+
+def _basel(n: int) -> Fraction:
+    """1 + 1/4 + ... + 1/n^2, exactly."""
+    total = Fraction(0)
+    for total in _basel_sums(n):
+        pass
+    return total
+
+
+def _basel_float(n: int) -> float:
+    """1 + 1/4 + ... + 1/n^2 in float, smallest terms first."""
+    total = 0.0
+    for j in range(n, 0, -1):
+        total += 1.0 / (j * j)
+    return total
+
+
+def _h0_rational_part(n: int) -> Fraction:
+    """(4/3) * (1 + 1/4 + ... + 1/n^2) - h0_omega(n)."""
+    return Fraction(
+        12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n,
+        6 * (n + 1) ** 2 * (n + 2) ** 2,
+    )
+
+
+def _h1_rational_part(n: int) -> Fraction:
+    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
+    return Fraction(
+        n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
+        6 * (n + 1) ** 2 * (n + 2) ** 2,
+    )
+
+
 def h0_omega(n: int) -> Fraction:
     """Cubic growth rate of the obstruction counts, in closed form."""
     if n < 1:
         raise ValueError("need n >= 1")
-    basel = sum((Fraction(1, j * j) for j in range(1, n + 1)), Fraction(0))
-    poly = Fraction(
-        12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n,
-        6 * (n + 1) ** 2 * (n + 2) ** 2,
-    )
-    return Fraction(4, 3) * basel - poly
+    return Fraction(4, 3) * _basel(n) - _h0_rational_part(n)
 
 
 def h0_omega_float(n: int) -> float:
     """Float shortcut for limit checks only; the partial zeta sum dominates."""
-    basel = 0.0
-    for j in range(n, 0, -1):
-        basel += 1.0 / (j * j)
-    poly = (12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n) / (
-        6 * (n + 1) ** 2 * (n + 2) ** 2
-    )
-    return (4.0 / 3.0) * basel - poly
+    return (4 / 3) * _basel_float(n) - float(_h0_rational_part(n))
 
 
 H0_OMEGA_LIMIT = "2*pi^2/9 - 2"
@@ -186,15 +216,10 @@ def h0_omega_limit_report(n_max: int) -> dict:
     limit = h0_omega_limit_float()
     increasing = True
     bounded = True
-    basel = Fraction(0)
     previous = None
     exact_cap = min(n_max, 400)
-    for n in range(1, exact_cap + 1):
-        basel += Fraction(1, n * n)
-        value = Fraction(4, 3) * basel - Fraction(
-            12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n,
-            6 * (n + 1) ** 2 * (n + 2) ** 2,
-        )
+    for n, basel in enumerate(_basel_sums(exact_cap), start=1):
+        value = Fraction(4, 3) * basel - _h0_rational_part(n)
         if previous is not None and not value > previous:
             increasing = False
         if not float(value) < limit:

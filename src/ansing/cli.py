@@ -1,7 +1,9 @@
 """Command-line surface: one verb per computation, JSON (default) or CSV out.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure (formula vs
-oracle mismatch, integrality failure, or an unfittable sequence).
+oracle mismatch, integrality failure, or an unfittable sequence).  Every
+exit 2, a usage error included, prints one JSON object {"error": ...} on
+stderr and nothing on stdout.  Each verb accepts only the flags it reads.
 Verification verbs exit nonzero on mismatch so CI can gate on them.
 Rationals are serialized as "p/q" everywhere, timestamps are suppressed with
 --no-timestamp, and sweeps can fan out over worker processes and persist
@@ -307,45 +309,64 @@ def _cmd_limits(args):
     }, 0
 
 
-_HANDLERS = {
-    "hsum": _cmd_hsum,
-    "hsum-sweep": _cmd_sweep,
-    "oracle-verify": _cmd_oracle_verify,
-    "omega": _cmd_omega,
-    "mu": _cmd_mu,
-    "chi-orb": _cmd_chi_orb,
-    "h1": _cmd_h1,
-    "divisor": _cmd_divisor,
-    "polygon": _cmd_polygon,
-    "fit": _cmd_fit,
-    "integral-check": _cmd_integral_check,
-    "bigness": _cmd_bigness,
-    "limits": _cmd_limits,
+_POINT = ("--n", "--m")
+
+# verb -> (handler, the flags it reads); every verb also takes the output flags
+_VERBS = {
+    "hsum": (_cmd_hsum, _POINT),
+    "hsum-sweep": (_cmd_sweep, ("--n", "--m-from", "--m-to", "--parallel", "--cache")),
+    "oracle-verify": (_cmd_oracle_verify, _POINT),
+    "omega": (_cmd_omega, ("--n",)),
+    "mu": (_cmd_mu, _POINT),
+    "chi-orb": (_cmd_chi_orb, _POINT),
+    "h1": (_cmd_h1, _POINT),
+    "divisor": (_cmd_divisor, _POINT),
+    "polygon": (_cmd_polygon, _POINT),
+    "fit": (_cmd_fit, ("--n", "--degree", "--max-period", "--m-to")),
+    "integral-check": (_cmd_integral_check, _POINT),
+    "bigness": (_cmd_bigness, ("--config",)),
+    "limits": (_cmd_limits, ("--n",)),
 }
+
+# flag -> (type, default)
+_FLAGS = {
+    "--n": (int, None),
+    "--m": (int, None),
+    "--m-from": (int, None),
+    "--m-to": (int, None),
+    "--degree": (int, 3),
+    "--max-period": (int, 12),
+    "--parallel": (int, 1),
+    "--cache": (str, None),
+    "--config": (str, None),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are CliInputError, not an exit
+    with usage text, so they reach stderr as JSON like every other error."""
+
+    def error(self, message: str):
+        raise CliInputError(message)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by every run."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ansing",
         description="Exact invariants of A_n surface singularities.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in _HANDLERS:
-        p = sub.add_parser(verb)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--m-from", dest="m_from", type=int, default=None)
-        p.add_argument("--m-to", dest="m_to", type=int, default=None)
-        p.add_argument("--degree", type=int, default=3)
-        p.add_argument("--max-period", dest="max_period", type=int, default=12)
+    for verb, (handler, flags) in _VERBS.items():
+        p = sub.add_parser(verb, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        for flag in flags:
+            kind, default = _FLAGS[flag]
+            p.add_argument(flag, type=kind, default=default)
         p.add_argument("--csv", action="store_true")
         p.add_argument("--json", action="store_true", help="JSON output (the default)")
-        p.add_argument("--cache", type=str, default=None)
-        p.add_argument("--parallel", type=int, default=1)
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--no-timestamp", dest="no_timestamp", action="store_true")
+        p.add_argument("--no-timestamp", action="store_true")
     return parser
 
 
@@ -393,10 +414,9 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+        payload, code = args.handler(args)
+    except SystemExit as exc:  # --help, after printing the usage
         return int(exc.code) if exc.code else 0
-    try:
-        payload, code = _HANDLERS[args.verb](args)
     except (CliInputError, bigness.ConfigError, InsufficientSamplesError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

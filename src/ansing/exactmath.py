@@ -19,8 +19,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or "p" into an exact rational."""
@@ -285,14 +283,6 @@ class CycloElement:
         return f"CycloElement(order={self.order}, coeffs=[{terms}])"
 
 
-def cyclo_invert(element: CycloElement) -> CycloElement:
-    return element.inverse()
-
-
-def cyclo_rational_part(element: CycloElement) -> Fraction:
-    return element.rational_part()
-
-
 # ---------------------------------------------------------------------------
 # Quasi-polynomials
 # ---------------------------------------------------------------------------
@@ -330,7 +320,3 @@ class QuasiPolynomial:
         for coeff in reversed(branch):
             value = value * m + coeff
         return value
-
-
-def quasi_eval(qp: QuasiPolynomial, m: int) -> Fraction:
-    return qp.evaluate(m)

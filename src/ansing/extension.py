@@ -6,9 +6,10 @@ how much milder the actual poles are.  Per component the coefficient is
 
     a_r = sum over j = 0..min(r-1, n-r) of ceil((m - 2j)/(n+1))
 
-and a brute-force minimizer over blocks recovers the same numbers: the
-offset of a block (khat, i, m) on component r is (i+m)/2 + ((n+1)/2 - r)khat
-and a_r is its minimum over the admissible block range.  A block extends
+which is also the minimum, over the admissible block range, of the offset
+(i+m)/2 + ((n+1)/2 - r)khat of a block (khat, i, m) on component r
+(``pole_profile``); the tests recover the coefficients that way by brute
+force.  A block extends
 holomorphically iff every offset reaches m, which happens for all admissible
 blocks once i >= n*m.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import ceil_ratio
-from .monoblocks import TripleIndex, parity_holds
+from .monoblocks import TripleIndex
 
 
 @dataclass(frozen=True)
@@ -51,49 +52,8 @@ def divisor_D(n: int, m: int) -> DivisorCoeffs:
     return DivisorCoeffs(n, m, tuple(coeffs))
 
 
-def divisor_D_case_formula(n: int, m: int) -> DivisorCoeffs:
-    """The equivalent two-case form of the coefficients, kept as a test oracle."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    coeffs = []
-    for r in range(1, n + 1):
-        upper = r if r <= (n + 1) // 2 else n + 1 - r
-        coeffs.append(
-            sum(ceil_ratio(m + 2 - 2 * j, n + 1) for j in range(1, upper + 1))
-        )
-    return DivisorCoeffs(n, m, tuple(coeffs))
-
-
 def _offset(n: int, khat: int, i: int, m: int, r: int) -> Fraction:
     return Fraction(i + m, 2) + (Fraction(n + 1, 2) - r) * khat
-
-
-def divisor_D_bruteforce(n: int, m: int, i_max: int) -> DivisorCoeffs:
-    """Coefficients as offset minima over a block window.
-
-    The window must contain the minimizer; offsets grow with i, so scanning
-    i up to (n+1)*m is provably enough and smaller windows are rejected.
-    """
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    if i_max < (n + 1) * m:
-        raise ValueError(f"window too small: i_max={i_max} < (n+1)*m={(n + 1) * m}")
-    best: list[Fraction | None] = [None] * n
-    for i in range(i_max + 1):
-        bound = (i + m) // (n + 1)
-        for khat in range(-bound, bound + 1):
-            if not parity_holds(n, khat, i, m):
-                continue
-            for r in range(1, n + 1):
-                value = _offset(n, khat, i, m, r)
-                if best[r - 1] is None or value < best[r - 1]:
-                    best[r - 1] = value
-    coeffs = []
-    for value in best:
-        if value is None or value.denominator != 1:
-            raise ArithmeticError("offset minimum missing or non-integral")
-        coeffs.append(value.numerator)
-    return DivisorCoeffs(n, m, tuple(coeffs))
 
 
 def pole_profile(t: TripleIndex) -> PoleProfile:

@@ -20,6 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .asymptotics import _basel, _basel_float, _basel_sums, _h1_rational_part
 from .latticesum import hsum
 
 
@@ -88,29 +89,18 @@ def h1(n: int, m: int) -> Fraction:
 
 
 def h1_omega(n: int) -> Fraction:
-    """Cubic growth rate of h1(n, m), in closed form."""
+    """Cubic growth rate of h1(n, m), in closed form.
+
+    The rational part and the Basel partial sum are the ones ``h0_omega``
+    uses, kept once in ``asymptotics``.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    basel = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
-    return _omega_rational_part(n) - Fraction(4, 3) * basel
-
-
-def _omega_rational_part(n: int) -> Fraction:
-    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
-    return Fraction(
-        n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
-        6 * (n + 1) ** 2 * (n + 2) ** 2,
-    )
+    return _h1_rational_part(n) - Fraction(4, 3) * _basel(n)
 
 
 def h1_omega_float(n: int) -> float:
-    basel = 0.0
-    for k in range(n, 0, -1):
-        basel += 1.0 / (k * k)
-    poly = (n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n) / (
-        6 * (n + 1) ** 2 * (n + 2) ** 2
-    )
-    return poly - (4.0 / 3.0) * basel
+    return float(_h1_rational_part(n)) - (4 / 3) * _basel_float(n)
 
 
 def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
@@ -129,16 +119,14 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
         raise ValueError("need n_max >= 2")
     increasing = True
     first_exceeds = None
-    basel = Fraction(0)
+    basel_sums = _basel_sums(n_max)
     previous = None
     for n in range(1, n_max + 1):
-        part = _omega_rational_part(n)
+        part = _h1_rational_part(n)
         if previous is not None and not part - previous > Fraction(4, 3 * n * n):
             increasing = False
-        if first_exceeds is None:
-            basel += Fraction(1, n * n)
-            if part - Fraction(4, 3) * basel > threshold:
-                first_exceeds = n
+        if first_exceeds is None and part - Fraction(4, 3) * next(basel_sums) > threshold:
+            first_exceeds = n
         previous = part
     return {
         "n_max": n_max,

@@ -11,22 +11,24 @@ The polygon is stored through its upper-half inequalities
 
     -x1 <= 0,   -x2 <= 0,   x1 - (n-1) x2 <= m,   -x1 + (n+1) x2 <= m+2
 
-and extended to x2 < 0 by the reflection x2 -> -x2 (the weight is an even
-function of x2).  Points off the polygon or failing parity get weight 0, so
-the weight is a total function and summation never needs a membership guard.
-``hsum`` itself never calls ``weight``: it sums each row x2 = const in
-closed form (``_row_sum``).
+and extended to x2 < 0 by the reflection x2 -> -x2.  With a = |x2|, the
+weight of a point with x1 + (n+1) x2 = m (mod 2) is max(0, min(cap, tot)):
+
+    cap = m+1 - (m - x1 - (n+1)a)+ / 2 - (m - x1 + (n+1)a)+ / 2
+    tot = sum over r = 0..n-1 of (m - x1 + (2r-n+1)a)+ / 2
+
+the chart codimensions ``monoblocks.codim_reg`` of the block
+(i, khat) = (x1, x2): the boundary charts bound the dimension, the interior
+charts count the obstructions.  Parity makes every half exact; points
+failing parity weigh 0, and so do points off the polygon.  ``hsum`` never
+evaluates the weight point by point (that walk is kept as a test oracle):
+it sums each row x2 = const in closed form (``_row_sum``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
-
-from .monoblocks import TripleIndex, codim_reg, dim_vreg
-
-LatticePoint = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,6 @@ class Polygon:
     n: int
     m: int
     half_planes: tuple[tuple[int, int, int], ...]
-
-    def contains(self, point: LatticePoint) -> bool:
-        x1, x2 = point
-        x2 = abs(x2)
-        return all(a * x1 + b * x2 <= c for a, b, c in self.half_planes)
 
 
 def polygon(n: int, m: int) -> Polygon:
@@ -53,46 +50,6 @@ def polygon(n: int, m: int) -> Polygon:
         (-1, n + 1, m + 2),
     )
     return Polygon(n, m, planes)
-
-
-def weight(n: int, m: int, point: LatticePoint) -> int:
-    """Obstruction dimension h_{n,m}(x1, x2); 0 off-polygon or off-parity.
-
-    min of: the total pole codimension over the interior charts r = 0..n-1,
-    and the dimension cap m+1 minus the two boundary-chart codimensions.
-    All halves below are exact because parity makes the numerators even.
-    """
-    x1, x2 = point
-    if (x1 + (n + 1) * x2 - m) % 2 != 0:
-        return 0
-    x2 = abs(x2)
-    outer_lo = m - x1 - (n + 1) * x2
-    outer_hi = m - x1 + (n + 1) * x2
-    cap = m + 1 - max(0, outer_lo // 2) - max(0, outer_hi // 2)
-    if cap <= 0:
-        return 0
-    total = 0
-    for r in range(n):
-        term = m - x1 + (2 * r - n + 1) * x2
-        if term > 0:
-            total += term // 2
-            if total >= cap:
-                return cap
-    return total
-
-
-def lattice_points(poly: Polygon) -> Iterator[LatticePoint]:
-    """All integer points of the full (reflected) polygon.
-
-    Deterministic row-major order: increasing x2, then increasing x1.
-    """
-    n, m = poly.n, poly.m
-    for x2 in range(-(m + 1), m + 2):
-        a = abs(x2)
-        x1_lo = max(0, (n + 1) * a - m - 2)
-        x1_hi = m + (n - 1) * a
-        for x1 in range(x1_lo, x1_hi + 1):
-            yield (x1, x2)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +77,7 @@ def _row_sum(n: int, m: int, a: int) -> int:
     """Sum of the weights on row |x2| = a, without visiting its points.
 
     Write x1 = start + 2j for j = 0..last.  With low = (m - start - (n+1)a)/2
-    the halved chart terms of ``weight`` become ramps in j whose breakpoints
+    the halved chart terms of the weight become ramps in j whose breakpoints
     are equally spaced by a: the boundary charts give (low - j)+ and
     (high - j)+ with high = low + (n+1)a, and interior chart r gives
     (low + (r+1)a - j)+.  So the weight is max(0, min(cap(j), tot(j))) with
@@ -181,19 +138,3 @@ def _row_sum(n: int, m: int, a: int) -> int:
         )
     return row
 
-
-def hsum_triple(t: TripleIndex) -> int:
-    """Per-block obstruction dimension, from the chart codimension counts.
-
-    Agrees with weight(n, m, (i, khat)); the two code paths are compared in
-    the tests as a definitional consistency check.
-    """
-    cap = dim_vreg(t)
-    if cap <= 0:
-        return 0
-    total = 0
-    for r in range(t.n):
-        total += codim_reg(t, r)
-        if total >= cap:
-            return cap
-    return total

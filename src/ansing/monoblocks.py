@@ -3,10 +3,11 @@
 Invariant differential monomials of degree m on the smoothing plane group
 into blocks of m+1 monomials.  A block is indexed by a triple (khat, i, m)
 subject to the parity constraint (n+1)*khat == i+m (mod 2); the functions
-here convert between the two block indexings, produce the chart exponents
-and pullback data of a block on each resolution chart r, and count how many
-monomials of a block fail to be regular along the exceptional curve meeting
-that chart.
+here enumerate the admissible blocks (``admissible_triples``, the one block
+loop of the package), convert between the two block indexings, produce the
+chart exponents and pullback data of a block on each resolution chart r,
+and count how many monomials of a block fail to be regular along the
+exceptional curve meeting that chart.
 
 Half-integer intermediates of the block degree and the chart exponents are
 computed as exact rationals and asserted integral at the boundary, so the
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 
 class ParityError(ValueError):
@@ -57,6 +59,21 @@ class TripleIndex:
 
     def is_admissible(self) -> bool:
         return (self.n + 1) * abs(self.khat) <= self.i + self.m
+
+
+def admissible_triples(n: int, m: int, i_max: int | None = None) -> Iterator[TripleIndex]:
+    """The admissible triples with 0 <= i <= i_max, by increasing i, then khat.
+
+    The default i_max = (n+1)m + n scans a safe superset of the blocks with
+    nonzero weight.
+    """
+    if i_max is None:
+        i_max = (n + 1) * m + n
+    for i in range(i_max + 1):
+        bound = (i + m) // (n + 1)
+        for khat in range(-bound, bound + 1):
+            if parity_holds(n, khat, i, m):
+                yield TripleIndex(n, khat, i, m)
 
 
 def _as_int(value: Fraction, what: str) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .monoblocks import TripleIndex, codim_reg, parity_holds
+from .monoblocks import TripleIndex, admissible_triples, codim_reg
 
 
 @dataclass(frozen=True)
@@ -208,24 +208,6 @@ def hsum_oracle_triple(t: TripleIndex) -> int:
     return rank_all - rank_ends
 
 
-def general_position_check(t: TripleIndex) -> bool:
-    """True iff the stacked conditions are independent up to the ambient cap.
-
-    The stacked rank must equal min(m+1, total multiplicity): every
-    intersection of the chart subspaces has the expected codimension.  This
-    is a theorem, not an empirical finding: by Hermite interpolation on P^1
-    a nonzero binary form of degree m has at most m zeros counted with
-    multiplicity, so conditions at the distinct chart points are independent
-    up to m+1.  A False therefore means a defect in vanishing_rows or rank.
-    """
-    conds = conditions_for_triple(t)
-    total = sum(c.multiplicity for c in conds)
-    if total == 0:
-        return True
-    stacked = rank(_stacked_rows(conds, t.m), t.m + 1)
-    return stacked == min(t.m + 1, total)
-
-
 def hsum_oracle(n: int, m: int) -> int:
     """Brute-force obstruction count: blockwise rank gaps, summed.
 
@@ -235,10 +217,4 @@ def hsum_oracle(n: int, m: int) -> int:
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    total = 0
-    for i in range(n * m):
-        bound = (i + m) // (n + 1)
-        for khat in range(-bound, bound + 1):
-            if parity_holds(n, khat, i, m):
-                total += hsum_oracle_triple(TripleIndex(n, khat, i, m))
-    return total
+    return sum(hsum_oracle_triple(t) for t in admissible_triples(n, m, n * m - 1))

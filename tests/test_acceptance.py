@@ -20,15 +20,17 @@ from ansing.bigness import (
     config_from_dict,
     evaluate_criterion,
 )
-from ansing.exactmath import QuasiPolynomial, quasi_eval
-from ansing.extension import divisor_D, divisor_D_bruteforce, divisor_D_case_formula, extends_holomorphically
+from ansing.exactmath import QuasiPolynomial
+from ansing.extension import divisor_D, extends_holomorphically
 from ansing.invariants import h1, h1_omega, mu
-from ansing.latticesum import hsum, hsum_triple, weight
-from ansing.monoblocks import TripleIndex, parity_holds
-from ansing.oracle import general_position_check, hsum_oracle, hsum_oracle_triple
+from ansing.latticesum import hsum
+from ansing.monoblocks import TripleIndex, admissible_triples, parity_holds
+from ansing.oracle import hsum_oracle, hsum_oracle_triple
 from ansing.quasifit import FitRequest, NoPeriodFitsError, fit
 from cyclo_oracle import mu_coordinates
-from lattice_oracle import admissible_triples
+from divisor_oracle import divisor_D_bruteforce, divisor_D_case_formula
+from general_position import general_position_check
+from lattice_oracle import hsum_triple, weight
 
 EXAMPLE1 = QuasiPolynomial(
     6,
@@ -67,7 +69,7 @@ def test_criterion_01_table1_reproduction():
 
 def test_criterion_02_example1_reproduction():
     failures = [
-        m for m in range(0, 61) if F(hsum(2, m)) != quasi_eval(EXAMPLE1, m)
+        m for m in range(0, 61) if F(hsum(2, m)) != EXAMPLE1.evaluate(m)
     ]
     _report(
         2,

@@ -16,8 +16,9 @@ from ansing.asymptotics import (
     pieces,
     upper_integral,
 )
-from ansing.latticesum import hsum, weight
+from ansing.latticesum import hsum
 from ansing.quasifit import _interpolate
+from lattice_oracle import weight
 
 
 def _piece(vertices, weight_form, m=0):

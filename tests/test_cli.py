@@ -402,3 +402,56 @@ def test_cached_parser_matches_fresh_parser(capsys):
         assert code_a == code_b
         assert out_a.out == out_b.out and out_a.err == out_b.err
     assert [code for code, _ in cached] == [0, 0, 2, 0, 0]
+
+
+def _assert_json_usage_error(capsys, argv):
+    code, captured = run_raw(capsys, argv)
+    assert code == 2
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert list(error) == ["error"] and error["error"]
+    return error["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hsum", "--n", "abc", "--m", "3"],
+        ["frobnicate"],
+        [],
+        ["hsum", "--n", "2", "--m", "3", "--bogus", "1"],
+    ],
+    ids=["bad-int", "unknown-verb", "no-verb", "unknown-flag"],
+)
+def test_usage_errors_exit_2_with_json_error(capsys, argv):
+    _assert_json_usage_error(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["omega", "--n", "3", "--m", "5"], "--m"),
+        (["divisor", "--n", "2", "--m", "3", "--parallel", "7", "--degree", "9"], "--parallel"),
+        (["limits", "--n", "30", "--cache", "rows.jsonl"], "--cache"),
+        (["fit", "--n", "2", "--m", "5"], "--m"),
+        (["bigness", "--n", "2"], "--n"),
+        (["hsum-sweep", "--n", "2", "--m", "3"], "--m"),
+    ],
+    ids=["omega-m", "divisor-pool-degree", "limits-cache", "fit-m", "bigness-n", "sweep-m"],
+)
+def test_verbs_reject_flags_they_do_not_read(capsys, argv, foreign):
+    assert foreign in _assert_json_usage_error(capsys, argv)
+
+
+def test_every_verb_takes_the_output_flags_after_its_own(capsys):
+    for verb, (_, flags) in cli._VERBS.items():
+        own = [token for flag in flags for token in (flag, "1")]
+        args = cli.build_parser().parse_args([verb, *own, "--csv", "--json", "--no-timestamp"])
+        assert args.csv and args.json and args.no_timestamp
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    code, captured = run_raw(capsys, ["hsum", "--help"])
+    assert code == 0
+    assert captured.out.startswith("usage: ansing hsum")
+    assert captured.err == ""

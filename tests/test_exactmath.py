@@ -9,14 +9,11 @@ from ansing.exactmath import (
     NonInvertibleError,
     QuasiPolynomial,
     ceil_ratio,
-    cyclo_invert,
-    cyclo_rational_part,
     cyclotomic_polynomial,
     euler_phi,
     floor_ratio,
     format_rational,
     parse_rational,
-    quasi_eval,
 )
 
 # Example-1 branch table, constant term first (residues mod 6).
@@ -89,13 +86,13 @@ def test_cyclo_invert_order_two_is_rational():
     # with order 2 the root is -1, so 1 - zeta = 2 and its inverse is 1/2
     e = CycloElement.one(2) - CycloElement.zeta(2)
     assert e == CycloElement.from_rational(2, 2)
-    assert cyclo_invert(e) == CycloElement.from_rational(2, F(1, 2))
+    assert e.inverse() == CycloElement.from_rational(2, F(1, 2))
 
 
 def test_cyclo_invert_order_three():
     one = CycloElement.one(3)
     zeta = CycloElement.zeta(3)
-    inv = cyclo_invert(one - zeta)
+    inv = (one - zeta).inverse()
     # (1 - zeta)(2 + zeta) = 3, so the inverse is (2 + zeta)/3
     assert inv * (one - zeta) == one
     assert inv == (one * 2 + zeta) * F(1, 3)
@@ -104,7 +101,7 @@ def test_cyclo_invert_order_three():
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 7, 12])
 def test_zeta_inverse_is_last_power(order):
     zeta = CycloElement.zeta(order)
-    assert cyclo_invert(zeta) == CycloElement.zeta_pow(order, order - 1)
+    assert zeta.inverse() == CycloElement.zeta_pow(order, order - 1)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5, 6, 9, 12])
@@ -127,17 +124,17 @@ def test_invert_zero_fails():
 
 def test_rational_part_and_predicate():
     e = CycloElement.from_rational(4, F(7, 3))
-    assert cyclo_rational_part(e) == F(7, 3)
+    assert e.rational_part() == F(7, 3)
     assert e.is_rational()
 
     zeta3 = CycloElement.zeta(3)
-    assert cyclo_rational_part(zeta3) == 0
+    assert zeta3.rational_part() == 0
     assert not zeta3.is_rational()
 
     # zeta + zeta^2 reduces to -1 modulo 1 + x + x^2
     e = zeta3 + CycloElement.zeta_pow(3, 2)
     assert e.is_rational()
-    assert cyclo_rational_part(e) == -1
+    assert e.rational_part() == -1
 
 
 def test_zeta_pow_wraps_modulo_order():
@@ -151,9 +148,9 @@ def test_zeta_pow_wraps_modulo_order():
 
 def test_quasi_eval_example_branches():
     qp = QuasiPolynomial(6, EXAMPLE1_BRANCHES)
-    assert quasi_eval(qp, 1) == 0
-    assert quasi_eval(qp, 2) == 3
-    assert quasi_eval(qp, 6) == 44
+    assert qp.evaluate(1) == 0
+    assert qp.evaluate(2) == 3
+    assert qp.evaluate(6) == 44
 
 
 def test_quasi_eval_matches_direct_evaluation():
@@ -166,7 +163,7 @@ def test_quasi_eval_matches_direct_evaluation():
     for m in range(0, 10 * qp.period + 1):
         branch = branches[m % 3]
         direct = sum(c * m**k for k, c in enumerate(branch))
-        assert quasi_eval(qp, m) == direct
+        assert qp.evaluate(m) == direct
 
 
 def test_quasi_polynomial_validation():

@@ -2,14 +2,13 @@ import pytest
 
 from ansing.extension import (
     divisor_D,
-    divisor_D_bruteforce,
-    divisor_D_case_formula,
     divisor_record,
     extends_holomorphically,
     pole_profile,
 )
-from ansing.latticesum import weight
 from ansing.monoblocks import TripleIndex, parity_holds
+from divisor_oracle import divisor_D_bruteforce, divisor_D_case_formula
+from lattice_oracle import weight
 
 
 def test_divisor_examples():

@@ -6,6 +6,7 @@ from ansing.monoblocks import (
     ChartExponents,
     ParityError,
     TripleIndex,
+    admissible_triples,
     chart_exponents,
     codim_reg,
     dim_vreg,
@@ -150,3 +151,21 @@ def test_codim_mirror_symmetry():
                     mirrored = TripleIndex(n, -khat, i, m)
                     for r in range(-1, n + 1):
                         assert codim_reg(t, r) == codim_reg(mirrored, n - 1 - r)
+
+
+def test_admissible_triples_is_every_admissible_block_in_order():
+    for n in range(1, 5):
+        for m in range(0, 7):
+            for i_max in (-1, 0, n * m - 1, (n + 1) * m + n):
+                blocks = list(admissible_triples(n, m, i_max))
+                expected = [
+                    TripleIndex(n, khat, i, m)
+                    for i in range(i_max + 1)
+                    for khat in range(-i - m, i + m + 1)
+                    if parity_holds(n, khat, i, m)
+                    and TripleIndex(n, khat, i, m).is_admissible()
+                ]
+                assert blocks == expected
+            assert list(admissible_triples(n, m)) == list(
+                admissible_triples(n, m, (n + 1) * m + n)
+            )

@@ -5,18 +5,18 @@ from fractions import Fraction as F
 import pytest
 
 from ansing import oracle
-from ansing.latticesum import hsum, hsum_triple
-from ansing.monoblocks import TripleIndex
+from ansing.latticesum import hsum
+from ansing.monoblocks import TripleIndex, admissible_triples
 from ansing.oracle import (
     _PRIME,
     VanishingCondition,
-    general_position_check,
     hsum_oracle,
     hsum_oracle_triple,
     rank,
     vanishing_rows,
 )
-from lattice_oracle import admissible_triples
+from general_position import general_position_check
+from lattice_oracle import hsum_triple
 
 
 def _rank_fraction_elimination(rows, ncols):

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ansing.exactmath import QuasiPolynomial, quasi_eval
+from ansing.exactmath import QuasiPolynomial
 from ansing.latticesum import hsum
 from ansing.quasifit import (
     FitRequest,
@@ -50,7 +50,7 @@ def test_fit_reproduces_all_samples_exactly():
     samples = _hsum_samples(2, 47)
     qp = fit(FitRequest(values=samples, degree=3, max_period=12))
     for m, v in samples:
-        assert quasi_eval(qp, m) == v
+        assert qp.evaluate(m) == v
 
 
 def test_fit_minimality():
