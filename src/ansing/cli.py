@@ -146,6 +146,14 @@ def _append_cache(path: Path, n: int, rows: list[dict]) -> None:
         raise _cache_error(path, exc) from exc
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def sweep(
     n: int,
     m_from: int,
@@ -153,15 +161,20 @@ def sweep(
     parallel: int = 1,
     cache_path: Path | None = None,
 ) -> list[dict]:
-    """Rows {m, hsum, mu, chi_orb, h1} for m_from..m_to, ordered by m."""
+    """Rows {m, hsum, mu, chi_orb, h1} for m_from..m_to, ordered by m.
+
+    Missing rows are computed on min(parallel, rows missing, CPUs available)
+    worker processes, or in this process when that is 1.
+    """
     wanted = range(m_from, m_to + 1)
     cached = _load_cache(cache_path, n, wanted) if cache_path else {}
     rows = {m: cached[m] for m in wanted if m in cached}
     missing = [m for m in wanted if m not in rows]
     if missing:
         tasks = [(n, m) for m in missing]
-        if parallel > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+        workers = min(parallel, len(tasks), _available_cpus())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(pool.map(_sweep_row, tasks))
         else:
             computed = [_sweep_row(task) for task in tasks]
@@ -177,9 +190,9 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _need_nm(args, m_min: int = 0) -> tuple[int, int]:
+def _need_nm(args) -> tuple[int, int]:
     _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
-    _require(args.m is not None and args.m >= m_min, f"--m must be an integer >= {m_min}")
+    _require(args.m is not None and args.m >= 0, "--m must be an integer >= 0")
     return args.n, args.m
 
 

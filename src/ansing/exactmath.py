@@ -288,6 +288,14 @@ class CycloElement:
 # ---------------------------------------------------------------------------
 
 
+def horner(coeffs: tuple[Fraction, ...], x: int) -> Fraction:
+    """The polynomial with these coefficients, constant first, at x."""
+    value = Fraction(0)
+    for coeff in reversed(coeffs):
+        value = value * x + coeff
+    return value
+
+
 @dataclass(frozen=True)
 class QuasiPolynomial:
     """A function m -> branch[m mod period](m) with exact coefficients.
@@ -315,8 +323,4 @@ class QuasiPolynomial:
     def evaluate(self, m: int) -> Fraction:
         if m < 0:
             raise ValueError("quasi-polynomials are evaluated at m >= 0")
-        branch = self.branches[m % self.period]
-        value = Fraction(0)
-        for coeff in reversed(branch):
-            value = value * m + coeff
-        return value
+        return horner(self.branches[m % self.period], m)

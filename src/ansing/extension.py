@@ -7,9 +7,10 @@ how much milder the actual poles are.  Per component the coefficient is
     a_r = sum over j = 0..min(r-1, n-r) of ceil((m - 2j)/(n+1))
 
 which is also the minimum, over the admissible block range, of the offset
-(i+m)/2 + ((n+1)/2 - r)khat of a block (khat, i, m) on component r
-(``pole_profile``); the tests recover the coefficients that way by brute
-force.  A block extends
+(i+m)/2 + ((n+1)/2 - r)khat of a block (khat, i, m) on component r; the
+tests recover the coefficients that way by brute force.  The offset is
+m + i1(r-1), with i1 the block's chart order (``monoblocks.chart_order``),
+so ``pole_profile`` computes it in integers.  A block extends
 holomorphically iff every offset reaches m, which happens for all admissible
 blocks once i >= n*m.
 """
@@ -17,10 +18,9 @@ blocks once i >= n*m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactmath import ceil_ratio
-from .monoblocks import TripleIndex
+from .monoblocks import TripleIndex, chart_order
 
 
 @dataclass(frozen=True)
@@ -41,34 +41,25 @@ class PoleProfile:
 
 
 def divisor_D(n: int, m: int) -> DivisorCoeffs:
-    """Closed-form divisor coefficients."""
+    """Closed-form divisor coefficients: a_r = S(min(r-1, n-r)), where S(k)
+    is the prefix sum of ceil((m - 2j)/(n+1)) over j = 0..k."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    coeffs = []
-    for r in range(1, n + 1):
-        coeffs.append(
-            sum(ceil_ratio(m - 2 * j, n + 1) for j in range(min(r - 1, n - r) + 1))
-        )
-    return DivisorCoeffs(n, m, tuple(coeffs))
-
-
-def _offset(n: int, khat: int, i: int, m: int, r: int) -> Fraction:
-    return Fraction(i + m, 2) + (Fraction(n + 1, 2) - r) * khat
+    prefix = []
+    total = 0
+    for j in range((n - 1) // 2 + 1):
+        total += ceil_ratio(m - 2 * j, n + 1)
+        prefix.append(total)
+    return DivisorCoeffs(n, m, tuple(prefix[min(r - 1, n - r)] for r in range(1, n + 1)))
 
 
 def pole_profile(t: TripleIndex) -> PoleProfile:
-    """Offsets of one block on E_1..E_n.
+    """Offsets of one block on E_1..E_n: offset_r = m + chart_order(t, r-1).
 
     Negative offsets only occur for inadmissible khat; admissible blocks have
     all offsets >= 0, which is the at-most-logarithmic pole bound.
     """
-    offsets = []
-    for r in range(1, t.n + 1):
-        value = _offset(t.n, t.khat, t.i, t.m, r)
-        if value.denominator != 1:
-            raise ArithmeticError(f"offset not integral for {t}, r={r}")
-        offsets.append(value.numerator)
-    return PoleProfile(t, tuple(offsets))
+    return PoleProfile(t, tuple(t.m + chart_order(t, r - 1) for r in range(1, t.n + 1)))
 
 
 def extends_holomorphically(t: TripleIndex) -> bool:
@@ -80,9 +71,7 @@ def extends_holomorphically(t: TripleIndex) -> bool:
     """
     if not t.is_admissible():
         raise ValueError(f"triple outside the admissible block range: {t}")
-    return all(
-        _offset(t.n, t.khat, t.i, t.m, r) >= t.m for r in range(1, t.n + 1)
-    )
+    return all(offset >= t.m for offset in pole_profile(t).offsets)
 
 
 def divisor_record(n: int, m: int) -> dict:

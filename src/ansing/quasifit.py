@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import QuasiPolynomial
+from .exactmath import QuasiPolynomial, horner
 
 
 class FitError(ValueError):
@@ -73,13 +73,6 @@ def _interpolate(points: list[tuple[int, Fraction]], degree: int) -> tuple[Fract
     return tuple(coeffs)
 
 
-def _evaluate(coeffs: tuple[Fraction, ...], m: int) -> Fraction:
-    value = Fraction(0)
-    for c in reversed(coeffs):
-        value = value * m + c
-    return value
-
-
 def _split_classes(
     samples: list[tuple[int, Fraction]], period: int
 ) -> list[list[tuple[int, Fraction]]]:
@@ -108,7 +101,7 @@ def fit(req: FitRequest) -> QuasiPolynomial:
         branches = []
         for cls in classes:
             coeffs = _interpolate(cls[: req.degree + 1], req.degree)
-            if all(_evaluate(coeffs, m) == v for m, v in cls[req.degree + 1 :]):
+            if all(horner(coeffs, m) == v for m, v in cls[req.degree + 1 :]):
                 branches.append(coeffs)
             else:
                 break

@@ -369,6 +369,47 @@ def test_parallel_sweep_matches_serial(capsys):
     assert serial["rows"] == parallel["rows"]
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Put a stand-in for the process pool in place; it maps in this process
+    and records the max_workers of every pool built."""
+    requests = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            requests.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    return requests
+
+
+def test_one_missing_row_builds_no_pool(capsys, tmp_path, fake_pool):
+    cache = tmp_path / "rows.jsonl"
+    warm = _sweep_argv(2, 3) + ["--cache", str(cache)]
+    assert run_raw(capsys, warm)[0] == 0
+    argv = _sweep_argv(2, 4) + ["--cache", str(cache), "--parallel", "6"]
+    code, captured = run_raw(capsys, argv)
+    assert code == 0 and captured.out == _cold_sweep(capsys, 2, 4)
+    assert fake_pool == []
+
+
+@pytest.mark.parametrize("cpus, built", [(3, [3]), (8, [5]), (1, [])])
+def test_sweep_pool_is_capped_by_rows_and_cpus(capsys, monkeypatch, fake_pool, cpus, built):
+    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
+    code, captured = run_raw(capsys, _sweep_argv(2, 4) + ["--parallel", "64"])
+    assert code == 0 and captured.out == _cold_sweep(capsys, 2, 4)
+    assert fake_pool == built
+
+
 def test_invalid_inputs_exit_2(capsys):
     code, _ = run_raw(capsys, ["hsum", "--n", "0", "--m", "2"])
     assert code == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from ansing.extension import (
@@ -37,6 +39,17 @@ def test_divisor_matches_bruteforce():
             assert divisor_D(n, m).a == divisor_D_bruteforce(n, m, window).a
 
 
+@pytest.mark.parametrize("n", [50, 101, 400])
+def test_divisor_is_the_defining_double_sum(n):
+    # a_r = sum over j = 0..min(r-1, n-r) of ceil((m - 2j)/(n+1)), term by term
+    for m in (0, 1, 2, n - 1, n, n + 1, 2 * n + 3, 3 * n):
+        expected = tuple(
+            sum(-((2 * j - m) // (n + 1)) for j in range(min(r - 1, n - r) + 1))
+            for r in range(1, n + 1)
+        )
+        assert divisor_D(n, m).a == expected
+
+
 def test_divisor_nonnegative_and_symmetric():
     for n in range(1, 13):
         for m in range(0, 26):
@@ -55,6 +68,21 @@ def test_pole_profile_examples():
     assert pole_profile(TripleIndex(1, 0, 0, 2)).offsets == (1,)
     assert pole_profile(TripleIndex(2, 0, 0, 2)).offsets == (1, 1)
     assert pole_profile(TripleIndex(1, 1, 0, 2)).offsets == (1,)
+
+
+def test_pole_profile_is_the_verbatim_formula():
+    # the paper's offset (i+m)/2 + ((n+1)/2 - r) khat on E_r, in rationals
+    for n in range(1, 6):
+        for m in range(0, 11):
+            for i in range(0, (n + 1) * m + n + 1):
+                for khat in range(-2 * (m + 1), 2 * (m + 1) + 1):
+                    if not parity_holds(n, khat, i, m):
+                        continue
+                    offsets = pole_profile(TripleIndex(n, khat, i, m)).offsets
+                    assert offsets == tuple(
+                        Fraction(i + m, 2) + (Fraction(n + 1, 2) - r) * khat
+                        for r in range(1, n + 1)
+                    )
 
 
 def test_pole_profile_nonnegative_on_admissible():

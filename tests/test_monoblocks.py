@@ -1,21 +1,28 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from ansing.monoblocks import (
-    ChartExponents,
     ParityError,
     TripleIndex,
     admissible_triples,
-    chart_exponents,
+    chart_order,
     codim_reg,
     dim_vreg,
-    k_of_khat,
-    khat_of_k,
     parity_holds,
-    pullback_coeffs,
-    pullback_exponents,
 )
+
+
+def valid_triples(n_max: int, m_max: int):
+    """Every triple passing the parity check with n <= n_max, m <= m_max,
+    i <= (n+1)m + n and |khat| <= 2(m+1), admissible or not."""
+    for n in range(1, n_max + 1):
+        for m in range(0, m_max + 1):
+            for i in range(0, (n + 1) * m + n + 1):
+                for khat in range(-2 * (m + 1), 2 * (m + 1) + 1):
+                    if parity_holds(n, khat, i, m):
+                        yield TripleIndex(n, khat, i, m)
 
 
 def test_triple_rejects_parity_violation():
@@ -25,47 +32,6 @@ def test_triple_rejects_parity_violation():
         TripleIndex(0, 0, 0, 0)
     t = TripleIndex(2, 1, 1, 2)
     assert t.is_admissible()
-
-
-def test_k_of_khat_examples():
-    assert k_of_khat(TripleIndex(1, 0, 0, 2)) == 1
-    assert k_of_khat(TripleIndex(3, 1, 0, 2)) == 3
-    assert k_of_khat(TripleIndex(2, 0, 1, 1)) == 1
-
-
-def test_khat_of_k_inverts():
-    for n in range(1, 5):
-        for m in range(0, 8):
-            for i in range(0, 12):
-                for khat in range(-4, 5):
-                    if not parity_holds(n, khat, i, m):
-                        continue
-                    t = TripleIndex(n, khat, i, m)
-                    assert khat_of_k(n, k_of_khat(t), i, m) == khat
-
-
-def test_pullback_exponents_examples():
-    assert pullback_exponents(0, 0, 1, 0, 0, 2) == (2, 0)
-    assert pullback_exponents(0, 0, 0, 0, 5, 7) == (0, 0)
-    assert pullback_exponents(1, 0, 0, 0, 0, 1) == (2, 0)
-
-
-def test_pullback_coeffs_examples():
-    assert pullback_coeffs(0, 0, 3, 5) == [1]
-    assert pullback_coeffs(2, 0, 0, 1) == [4, 0, 0]
-    assert pullback_coeffs(1, 1, 1, 2) == [-1, 2]
-
-
-def test_pullback_coeffs_sum_identity():
-    # substituting X = Y = 1 must give (n+1-2r)^(m-q) (2r+1-n)^q
-    rng = random.Random(42)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        m = rng.randint(0, 8)
-        q = rng.randint(0, m)
-        r = rng.randint(-1, n + 1)
-        coeffs = pullback_coeffs(m, q, r, n)
-        assert sum(coeffs) == (n + 1 - 2 * r) ** (m - q) * (2 * r + 1 - n) ** q
 
 
 def test_codim_reg_examples():
@@ -93,21 +59,12 @@ def test_dim_vreg_examples():
             assert dim_vreg(TripleIndex(n, 0, m, m)) == m + 1
 
 
-def test_chart_exponents_structure():
-    # i2 - i1 = m + khat, and codim is the negative part of i1
-    for n in range(1, 5):
-        for m in range(0, 7):
-            for i in range(0, 10):
-                for khat in range(-3, 4):
-                    if not parity_holds(n, khat, i, m):
-                        continue
-                    t = TripleIndex(n, khat, i, m)
-                    for r in range(-1, n + 2):
-                        ce = chart_exponents(t, r)
-                        assert isinstance(ce, ChartExponents)
-                        assert ce.i2 - ce.i1 == m + khat
-                        if r <= n:
-                            assert codim_reg(t, r) == max(0, -ce.i1)
+def test_codim_reg_is_the_verbatim_formula():
+    # the paper's form, max{0, (m-i)/2 + ((2r-n+1)/2) khat}, in rationals
+    for t in valid_triples(5, 10):
+        for r in range(-1, t.n + 1):
+            verbatim = Fraction(t.m - t.i, 2) + Fraction(2 * r - t.n + 1, 2) * t.khat
+            assert codim_reg(t, r) == max(0, verbatim)
 
 
 def test_integrality_exhaustive_small():
@@ -118,9 +75,8 @@ def test_integrality_exhaustive_small():
                     if not parity_holds(n, khat, i, m):
                         continue
                     t = TripleIndex(n, khat, i, m)
-                    k_of_khat(t)  # raises if non-integral
-                    chart_exponents(t, 0)
-                    chart_exponents(t, n)
+                    chart_order(t, 0)  # raises if non-integral
+                    chart_order(t, n)
 
 
 def test_integrality_sampled_full_range():
@@ -134,9 +90,8 @@ def test_integrality_sampled_full_range():
         if not parity_holds(n, khat, i, m):
             continue
         t = TripleIndex(n, khat, i, m)
-        k_of_khat(t)
         for r in range(-1, n + 2):
-            chart_exponents(t, r)
+            chart_order(t, r)
         checked += 1
 
 
