@@ -190,14 +190,26 @@ def sweep(
 # ---------------------------------------------------------------------------
 
 
-def _need_nm(args) -> tuple[int, int]:
+# Input bounds.  Each is sized so that the slowest call it admits takes
+# about 1.6 s or less on a 2-core x86 machine under Python 3.11: h1 at
+# --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4 --degree 20
+# --max-period 40 --m-to 1500.
+M_LIMIT = 1_000_000  # --m of every verb that computes hsum: O(m) each
+M_TO_LIMIT = 1500  # --m-to of fit and hsum-sweep: hsum at every m up to it
+DEGREE_LIMIT = 20
+MAX_PERIOD_LIMIT = 40
+
+
+def _need_nm(args, m_limit: int | None = None) -> tuple[int, int]:
     _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
     _require(args.m is not None and args.m >= 0, "--m must be an integer >= 0")
+    if m_limit is not None:
+        _require(args.m <= m_limit, f"--m must be <= {m_limit}")
     return args.n, args.m
 
 
 def _cmd_hsum(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, M_LIMIT)
     return {"n": n, "m": m, "hsum": latticesum.hsum(n, m)}, 0
 
 
@@ -205,6 +217,7 @@ def _cmd_sweep(args):
     _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
     _require(args.m_from is not None and args.m_from >= 0, "--m-from must be >= 0")
     _require(args.m_to is not None and args.m_to >= -1, "--m-to must be >= -1")
+    _require(args.m_to <= M_TO_LIMIT, f"--m-to must be <= {M_TO_LIMIT}")
     _require(args.m_from <= args.m_to + 1, "--m-from must be <= --m-to + 1")
     _require(args.parallel >= 1, "--parallel must be >= 1")
     cache_path = Path(args.cache) if args.cache else None
@@ -213,7 +226,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_oracle_verify(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, M_LIMIT)
     formula = latticesum.hsum(n, m)
     brute = oracle.hsum_oracle(n, m)
     match = formula == brute
@@ -242,7 +255,7 @@ def _cmd_chi_orb(args):
 
 
 def _cmd_h1(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, M_LIMIT)
     rec = invariants.invariant_record(n, m)
     value = rec["h1"]
     ok = value.denominator == 1 and value >= 0
@@ -284,11 +297,14 @@ def _cmd_polygon(args):
 def _cmd_fit(args):
     _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
     _require(args.degree >= 0, "--degree must be >= 0")
+    _require(args.degree <= DEGREE_LIMIT, f"--degree must be <= {DEGREE_LIMIT}")
     _require(args.max_period >= 1, "--max-period must be >= 1")
+    _require(args.max_period <= MAX_PERIOD_LIMIT, f"--max-period must be <= {MAX_PERIOD_LIMIT}")
     m_to = args.m_to
-    if m_to is None:
+    if m_to is None:  # at most (DEGREE_LIMIT + 3) * MAX_PERIOD_LIMIT - 1 < M_TO_LIMIT
         m_to = (args.degree + 3) * args.max_period - 1
     _require(m_to >= 0, "--m-to must be >= 0")
+    _require(m_to <= M_TO_LIMIT, f"--m-to must be <= {M_TO_LIMIT}")
     values = tuple(
         (m, Fraction(latticesum.hsum(args.n, m))) for m in range(m_to + 1)
     )
@@ -304,7 +320,7 @@ def _cmd_fit(args):
 
 
 def _cmd_integral_check(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, M_LIMIT)
     return asymptotics.integral_vs_sum_check(n, m), 0
 
 

@@ -55,7 +55,11 @@ def chi_orb(n: int, m: int) -> Fraction:
     )
 
 
-@functools.lru_cache(maxsize=None)
+# mu's lru_cache bound: a sweep at the CLI's --m-to bound needs 1501 entries
+MU_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=MU_CACHE_SIZE)
 def mu(n: int, m: int) -> Fraction:
     """Group average of trace/determinant over the nontrivial elements.
 

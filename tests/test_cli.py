@@ -496,3 +496,53 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert code == 0
     assert captured.out.startswith("usage: ansing hsum")
     assert captured.err == ""
+
+
+@pytest.fixture
+def free_hsum(monkeypatch):
+    """hsum as a constant in the CLI's namespace: the tests below check which
+    arguments the bounds admit, not what those arguments cost."""
+    monkeypatch.setattr(cli.latticesum, "hsum", lambda n, m: 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hsum", "--n", "2", "--m", str(cli.M_LIMIT)],
+        ["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT)],
+        # and the default --m-to they imply, (degree + 3) * max_period - 1
+        ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT), "--max-period", str(cli.MAX_PERIOD_LIMIT)],
+        ["hsum-sweep", "--n", "2", "--m-from", str(cli.M_TO_LIMIT), "--m-to", str(cli.M_TO_LIMIT)],
+    ],
+    ids=["hsum-m", "fit-m-to", "fit-degree-and-period", "sweep-m-to"],
+)
+def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
+    code, captured = run_raw(capsys, argv + ["--no-timestamp"])
+    assert code == 0 and captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        *(
+            ([verb, "--n", "2", "--m", str(cli.M_LIMIT + 1)], f"--m must be <= {cli.M_LIMIT}")
+            for verb in ("hsum", "h1", "integral-check", "oracle-verify")
+        ),
+        (["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT + 1)], f"--m-to must be <= {cli.M_TO_LIMIT}"),
+        (
+            ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT + 1), "--m-to", "100"],
+            f"--degree must be <= {cli.DEGREE_LIMIT}",
+        ),
+        (
+            ["fit", "--n", "2", "--max-period", str(cli.MAX_PERIOD_LIMIT + 1), "--m-to", "100"],
+            f"--max-period must be <= {cli.MAX_PERIOD_LIMIT}",
+        ),
+        (
+            ["hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", str(cli.M_TO_LIMIT + 1)],
+            f"--m-to must be <= {cli.M_TO_LIMIT}",
+        ),
+    ],
+    ids=["hsum-m", "h1-m", "integral-check-m", "oracle-verify-m", "fit-m-to", "fit-degree", "fit-period", "sweep-m-to"],
+)
+def test_arguments_beyond_their_bound_exit_2(capsys, argv, bound):
+    assert _assert_json_usage_error(capsys, argv) == bound

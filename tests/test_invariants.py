@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from ansing import cli
 from ansing.asymptotics import h0_omega
 from ansing.exactmath import CycloElement, cyclotomic_polynomial
 from ansing.invariants import (
+    MU_CACHE_SIZE,
     chern_local,
     chi_orb,
     h1,
@@ -206,3 +208,16 @@ def test_input_validation():
         chi_orb(1, -1)
     with pytest.raises(ValueError):
         h1_omega(0)
+
+
+def test_mu_cache_is_bounded():
+    assert mu.cache_info().maxsize == MU_CACHE_SIZE
+    # one sweep at the CLI's --m-to bound stays in the cache whole
+    assert MU_CACHE_SIZE > cli.M_TO_LIMIT + 1
+    mu.cache_clear()
+    try:
+        for n in range(1, MU_CACHE_SIZE + 11):
+            mu(n, 0)
+        assert mu.cache_info().currsize == MU_CACHE_SIZE
+    finally:
+        mu.cache_clear()

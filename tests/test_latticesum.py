@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from ansing.latticesum import hsum, polygon
+from ansing import cli
+from ansing.latticesum import HSUM_CACHE_SIZE, hsum, polygon
 from ansing.monoblocks import TripleIndex, admissible_triples
+from ansing.quasifit import FitRequest, fit
 from lattice_oracle import (
     contains,
+    hsum_bisection,
     hsum_pointwise,
     hsum_triple,
     hsum_via_triples,
@@ -155,3 +159,44 @@ def test_row_sums_match_pointwise_walk_on_edges():
             assert hsum(n, m) == hsum_pointwise(n, m)
     for m in range(61, 101):
         assert hsum(1, m) == hsum_pointwise(1, m)
+
+
+def test_hsum_matches_bisection_on_grid():
+    mismatches = [
+        (n, m)
+        for n in range(1, 25)
+        for m in range(0, 120)
+        if hsum(n, m) != hsum_bisection(n, m)
+    ]
+    assert mismatches == []
+
+
+@pytest.mark.parametrize(
+    "n, m",
+    [(1, 5000), (2, 3000), (8, 2000), (30, 1000), (3, 2000), (200, 1500), (10**9, 400)],
+)
+def test_hsum_matches_bisection_at_large_points(n, m):
+    # beyond the pointwise walk's reach; n = 10**9 leaves c capped by m alone
+    assert hsum(n, m) == hsum_bisection(n, m)
+
+
+def test_hsum_follows_its_quasi_polynomial_far_beyond_the_oracles():
+    # fitted on m < 72, where the oracles check hsum, then read at m ~ 20000
+    for n in (1, 2):
+        samples = tuple((m, Fraction(hsum(n, m))) for m in range(72))
+        qp = fit(FitRequest(values=samples, degree=3, max_period=12))
+        for m in range(20000, 20000 + qp.period):
+            assert hsum(n, m) == qp.evaluate(m)
+
+
+def test_hsum_cache_is_bounded():
+    assert hsum.cache_info().maxsize == HSUM_CACHE_SIZE
+    # one fit or sweep at the CLI's --m-to bound stays in the cache whole
+    assert HSUM_CACHE_SIZE > cli.M_TO_LIMIT + 1
+    hsum.cache_clear()
+    try:
+        for n in range(1, HSUM_CACHE_SIZE + 11):
+            hsum(n, 0)
+        assert hsum.cache_info().currsize == HSUM_CACHE_SIZE
+    finally:
+        hsum.cache_clear()
