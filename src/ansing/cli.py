@@ -193,11 +193,15 @@ def sweep(
 # Input bounds.  Each is sized so that the slowest call it admits takes
 # about 1.6 s or less on a 2-core x86 machine under Python 3.11: h1 at
 # --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4 --degree 20
-# --max-period 40 --m-to 1500.
-M_LIMIT = 1_000_000  # --m of every verb that computes hsum: O(m) each
+# --max-period 40 --m-to 1500, oracle-verify --n 16 --m 30,
+# integral-check --n 1000 --m 1000000.
+M_LIMIT = 1_000_000  # --m of hsum, h1, mu and integral-check: O(m) each
 M_TO_LIMIT = 1500  # --m-to of fit and hsum-sweep: hsum at every m up to it
 DEGREE_LIMIT = 20
 MAX_PERIOD_LIMIT = 40
+ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
+ORACLE_M_LIMIT = 30  # that grows polynomially in both n and m
+INTEGRAL_N_LIMIT = 1000  # integral-check: exact integrals over n + 2 pieces
 
 
 def _need_nm(args, m_limit: int | None = None) -> tuple[int, int]:
@@ -226,7 +230,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_oracle_verify(args):
-    n, m = _need_nm(args, M_LIMIT)
+    n, m = _need_nm(args, ORACLE_M_LIMIT)
+    _require(n <= ORACLE_N_LIMIT, f"--n must be <= {ORACLE_N_LIMIT}")
     formula = latticesum.hsum(n, m)
     brute = oracle.hsum_oracle(n, m)
     match = formula == brute
@@ -245,7 +250,7 @@ def _cmd_omega(args):
 
 
 def _cmd_mu(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, M_LIMIT)
     return {"n": n, "m": m, "mu": invariants.mu(n, m)}, 0
 
 
@@ -321,6 +326,7 @@ def _cmd_fit(args):
 
 def _cmd_integral_check(args):
     n, m = _need_nm(args, M_LIMIT)
+    _require(n <= INTEGRAL_N_LIMIT, f"--n must be <= {INTEGRAL_N_LIMIT}")
     return asymptotics.integral_vs_sum_check(n, m), 0
 
 

@@ -12,14 +12,19 @@ charts r in {-1, n}:
 
 since the regular part of the block has dimension (m+1) - rank_ends and the
 unobstructed subspace has dimension (m+1) - rank_all.  Ranks are computed,
-never assumed, and are exact over Q.  Each is first taken by elimination
-over the prime field F_p: a minor that is nonzero mod p is nonzero over Z,
-so rank_p <= rank_Q <= min(rows, cols), and rank_p reaching that bound
-certifies the rational rank.  Only a rank that falls short of the bound is
-recomputed by fraction-free (Bareiss) elimination over the integers.  By
-Hermite interpolation on P^1 every system the oracle stacks has full rank,
-so on its own matrices the certificate holds unless p divides a maximal
-minor.
+never assumed, and are exact over Q, in two stages.  First a singleton pass
+over Z: a row with one nonzero entry is a pivot on its column, so each such
+column counts once and is deleted from the other rows, and the rank is their
+number plus the rank of what is left.  At the boundary points [0 : -n-1]
+and [n+1 : 0] every nonzero derivative row is a singleton, so this pass
+settles rank_ends outright and takes those columns out of rank_all.  Then
+the remainder is eliminated over the prime field F_p: a minor that is
+nonzero mod p is nonzero over Z, so rank_p <= rank_Q <= min(rows, cols) of
+the remainder, and rank_p reaching that bound certifies its rational rank.
+Only a remainder whose rank falls short of the bound is recomputed by
+fraction-free (Bareiss) elimination over the integers.  By Hermite
+interpolation on P^1 every system the oracle stacks has full rank, so on
+its own matrices the certificate holds unless p divides a maximal minor.
 """
 
 from __future__ import annotations
@@ -97,19 +102,39 @@ def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], 
 
 
 def rank(rows: list[list[int]], ncols: int) -> int:
-    """Exact rank over Q of an integer matrix, certified mod p when it can be.
+    """Exact rank over Q of an integer matrix, in two stages.
 
-    Zero rows are dropped and the rest are eliminated over F_p for the fixed
-    prime p = 2^30 - 35.  A minor that is nonzero mod p is nonzero over Z, so
-    rank_p <= rank_Q <= min(nrows, ncols); when rank_p reaches that bound it
-    is the rank.  Otherwise p may have hidden a pivot, and the rank is
-    recomputed by fraction-free Gaussian elimination (Bareiss) over Z.
+    1. Singleton pass over Z.  A row with exactly one nonzero entry is a
+       pivot on that column: each such column is counted once, its rows are
+       dropped, and the column is deleted from every other row; rows that are
+       zero after the deletion are dropped too.  The singleton rows span the
+       coordinate subspace of their columns, so the rank is the number of
+       those columns plus the rank of what is left.  That holds over any
+       field in which the singleton entries are nonzero, so over Q it holds
+       for every nonzero integer entry, a multiple of p included.
+    2. Certificate on the remainder.  The rest is eliminated over F_p for the
+       fixed prime p = 2^30 - 35.  A minor that is nonzero mod p is nonzero
+       over Z, so rank_p <= rank_Q <= min(rows left, columns left); when
+       rank_p reaches that bound it is the rank.  Otherwise p may have hidden
+       a pivot, and the remainder's rank is recomputed by fraction-free
+       Gaussian elimination (Bareiss) over Z.
     """
-    matrix = [row for row in rows if any(row)]
-    bound = min(len(matrix), ncols)
-    if _rank_mod_p(matrix, ncols) == bound:
-        return bound
-    return _rank_bareiss(matrix, ncols)
+    pivots: set[int] = set()
+    dense = []
+    for row in rows:
+        nonzero = [col for col, x in enumerate(row) if x]
+        if len(nonzero) == 1:
+            pivots.add(nonzero[0])
+        elif nonzero:
+            dense.append(row)
+    keep = [col for col in range(ncols) if col not in pivots]
+    matrix = [[row[col] for col in keep] for row in dense]
+    matrix = [row for row in matrix if any(row)]
+    left = len(keep)
+    bound = min(len(matrix), left)
+    if _rank_mod_p(matrix, left) == bound:
+        return len(pivots) + bound
+    return len(pivots) + _rank_bareiss(matrix, left)
 
 
 def _rank_mod_p(matrix: list[list[int]], ncols: int) -> int:

@@ -500,21 +500,30 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 @pytest.fixture
 def free_hsum(monkeypatch):
-    """hsum as a constant in the CLI's namespace: the tests below check which
-    arguments the bounds admit, not what those arguments cost."""
+    """hsum, the oracle and the integral check as constants in the CLI's
+    namespace: the tests below check which arguments the bounds admit, not
+    what those arguments cost."""
     monkeypatch.setattr(cli.latticesum, "hsum", lambda n, m: 0)
+    monkeypatch.setattr(cli.oracle, "hsum_oracle", lambda n, m: 0)
+    monkeypatch.setattr(cli.asymptotics, "integral_vs_sum_check", lambda n, m: {"n": n, "m": m})
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["hsum", "--n", "2", "--m", str(cli.M_LIMIT)],
+        ["mu", "--n", "2", "--m", str(cli.M_LIMIT)],
+        ["oracle-verify", "--n", str(cli.ORACLE_N_LIMIT), "--m", str(cli.ORACLE_M_LIMIT)],
+        ["integral-check", "--n", str(cli.INTEGRAL_N_LIMIT), "--m", str(cli.M_LIMIT)],
         ["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT)],
         # and the default --m-to they imply, (degree + 3) * max_period - 1
         ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT), "--max-period", str(cli.MAX_PERIOD_LIMIT)],
         ["hsum-sweep", "--n", "2", "--m-from", str(cli.M_TO_LIMIT), "--m-to", str(cli.M_TO_LIMIT)],
     ],
-    ids=["hsum-m", "fit-m-to", "fit-degree-and-period", "sweep-m-to"],
+    ids=[
+        "hsum-m", "mu-m", "oracle-verify-n-m", "integral-check-n-m", "fit-m-to",
+        "fit-degree-and-period", "sweep-m-to",
+    ],
 )
 def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
     code, captured = run_raw(capsys, argv + ["--no-timestamp"])
@@ -526,7 +535,19 @@ def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
     [
         *(
             ([verb, "--n", "2", "--m", str(cli.M_LIMIT + 1)], f"--m must be <= {cli.M_LIMIT}")
-            for verb in ("hsum", "h1", "integral-check", "oracle-verify")
+            for verb in ("hsum", "h1", "integral-check", "mu")
+        ),
+        (
+            ["oracle-verify", "--n", "2", "--m", str(cli.ORACLE_M_LIMIT + 1)],
+            f"--m must be <= {cli.ORACLE_M_LIMIT}",
+        ),
+        (
+            ["oracle-verify", "--n", str(cli.ORACLE_N_LIMIT + 1), "--m", "2"],
+            f"--n must be <= {cli.ORACLE_N_LIMIT}",
+        ),
+        (
+            ["integral-check", "--n", str(cli.INTEGRAL_N_LIMIT + 1), "--m", "2"],
+            f"--n must be <= {cli.INTEGRAL_N_LIMIT}",
         ),
         (["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT + 1)], f"--m-to must be <= {cli.M_TO_LIMIT}"),
         (
@@ -542,7 +563,10 @@ def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
             f"--m-to must be <= {cli.M_TO_LIMIT}",
         ),
     ],
-    ids=["hsum-m", "h1-m", "integral-check-m", "oracle-verify-m", "fit-m-to", "fit-degree", "fit-period", "sweep-m-to"],
+    ids=[
+        "hsum-m", "h1-m", "integral-check-m", "mu-m", "oracle-verify-m", "oracle-verify-n",
+        "integral-check-n", "fit-m-to", "fit-degree", "fit-period", "sweep-m-to",
+    ],
 )
 def test_arguments_beyond_their_bound_exit_2(capsys, argv, bound):
     assert _assert_json_usage_error(capsys, argv) == bound

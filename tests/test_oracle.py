@@ -112,14 +112,63 @@ def test_rank_falls_back_when_p_hides_a_pivot():
     assert rank([[0, 0], [p, 2 * p]], 2) == 1
 
 
+def _count_bareiss(monkeypatch):
+    """Wrap the Bareiss fallback; the returned list grows by one per call."""
+    calls = []
+    bareiss = oracle._rank_bareiss
+
+    def counted(matrix, ncols):
+        calls.append((len(matrix), ncols))
+        return bareiss(matrix, ncols)
+
+    monkeypatch.setattr(oracle, "_rank_bareiss", counted)
+    return calls
+
+
+def test_singleton_rows_on_one_column_count_once():
+    rows = [[0, 3, 0, 0], [0, -5, 0, 0], [1, 2, 0, 4], [0, 7, 0, 0]]
+    assert _rank_fraction_elimination(rows, 4) == 2
+    assert rank(rows, 4) == 2
+
+
+def test_singleton_multiple_of_p_counts_over_z(monkeypatch):
+    p = _PRIME
+    calls = _count_bareiss(monkeypatch)
+    rows = [[0, 3 * p, 0], [1, 1, 1], [-p, 0, 0]]
+    assert _rank_fraction_elimination(rows, 3) == 3
+    assert rank(rows, 3) == 3
+    assert rank([[2 * p, 0]], 2) == 1
+    # a singleton is a pivot over Z, whatever its residue: no fallback needed
+    assert calls == []
+
+
+def test_dense_row_vanishing_after_the_singleton_columns_is_dropped():
+    rows = [[4, 0, 0, 0], [0, 0, 7, 0], [2, 0, 5, 0], [0, 1, 1, 1]]
+    assert _rank_fraction_elimination(rows, 4) == 3
+    assert rank(rows, 4) == 3
+    assert rank(rows[:3], 4) == 2
+
+
+def test_remainder_whose_pivot_p_hides_reaches_bareiss(monkeypatch):
+    p = _PRIME
+    calls = _count_bareiss(monkeypatch)
+    # the two dense rows are [p, 0] and [0, p] once column 0 is deleted:
+    # zero mod p, rank 2 over Q
+    rows = [[7, 0, 0], [5, p, 0], [3, 0, p]]
+    assert _rank_fraction_elimination(rows, 3) == 3
+    assert rank(rows, 3) == 3
+    assert calls == [(2, 2)]
+
+
 def test_oracle_systems_are_certified_mod_p(monkeypatch):
     # Hermite interpolation on P^1: every stacked system has full rank, so the
-    # modular pass alone must settle each rank the oracle asks for
+    # singleton pass and the modular pass must settle each rank the oracle
+    # asks for
     def no_fallback(matrix, ncols):
-        raise AssertionError(f"Bareiss fallback on a {len(matrix)}x{ncols} oracle system")
+        raise AssertionError(f"Bareiss fallback on a {len(matrix)}x{ncols} oracle remainder")
 
     monkeypatch.setattr(oracle, "_rank_bareiss", no_fallback)
-    for n in range(1, 4):
+    for n in range(1, 9):
         for m in range(0, 9):
             assert hsum_oracle(n, m) == hsum(n, m)
     for t in admissible_triples(3, 6, i_max=24):

@@ -1,9 +1,11 @@
-"""Property test: the certified modular rank equals rank over Fraction.
+"""Property test: the two-stage rank equals rank over Fraction.
 
-Entries are drawn near multiples of the oracle's prime p as well as small,
-so some matrices lose rank mod p and take the Bareiss fallback while the
-rest are settled by the modular pass.  Needs hypothesis (the ``test``
-extra); the module is skipped without it.
+Rows are drawn dense or with a single nonzero entry, so the singleton pass
+always has work.  Entries are drawn near multiples of the oracle's prime p
+as well as small, so some remainders lose rank mod p and take the Bareiss
+fallback while the rest are settled by the modular pass; the test asserts
+that the fallback is still reached.  Needs hypothesis (the ``test`` extra);
+the module is skipped without it.
 """
 
 import pytest
@@ -12,7 +14,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ansing.oracle import _PRIME, rank  # noqa: E402
-from test_oracle import _rank_fraction_elimination  # noqa: E402
+from test_oracle import _count_bareiss, _rank_fraction_elimination  # noqa: E402
 
 ENTRIES = st.one_of(
     st.integers(min_value=-3, max_value=3),
@@ -25,15 +27,31 @@ ENTRIES = st.one_of(
 
 
 @st.composite
+def rows_of(draw, ncols):
+    if draw(st.booleans()):
+        return draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    row = [0] * ncols
+    row[draw(st.integers(min_value=0, max_value=ncols - 1))] = draw(ENTRIES.filter(bool))
+    return row
+
+
+@st.composite
 def matrices(draw):
     nrows = draw(st.integers(min_value=0, max_value=8))
     ncols = draw(st.integers(min_value=1, max_value=8))
-    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    rows = draw(st.lists(rows_of(ncols), min_size=nrows, max_size=nrows))
     return rows, ncols
 
 
-@settings(derandomize=True, max_examples=120, deadline=None)
-@given(matrices())
-def test_rank_equals_fraction_elimination(matrix):
-    rows, ncols = matrix
-    assert rank(rows, ncols) == _rank_fraction_elimination(rows, ncols)
+def test_rank_equals_fraction_elimination(monkeypatch):
+    fallbacks = _count_bareiss(monkeypatch)
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(matrices())
+    def check(matrix):
+        rows, ncols = matrix
+        assert rank(rows, ncols) == _rank_fraction_elimination(rows, ncols)
+
+    check()
+    # the singleton pass must not keep the fallback from being exercised
+    assert fallbacks, "no example reached the Bareiss fallback"
