@@ -192,33 +192,45 @@ def sweep(
 
 # Input bounds.  Each is sized so that the slowest call it admits takes
 # about 1.6 s or less on a 2-core x86 machine under Python 3.11: h1 at
-# --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4 --degree 20
-# --max-period 40 --m-to 1500, oracle-verify --n 16 --m 30,
-# integral-check --n 1000 --m 1000000.
-M_LIMIT = 1_000_000  # --m of hsum, h1, mu and integral-check: O(m) each
+# --n 1000000 --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4
+# --degree 20 --max-period 40 --m-to 1500, oracle-verify --n 16 --m 30,
+# integral-check --n 1000 --m 1000000, divisor --n 1000000 --m 1000000,
+# polygon --n 10000 --m 1000000, limits --n 100000.
+M_LIMIT = 1_000_000  # --m of every verb that takes one, except oracle-verify
+N_LIMIT = 1_000_000  # --n of every verb without its own bound below: mu's cost grows with it
 M_TO_LIMIT = 1500  # --m-to of fit and hsum-sweep: hsum at every m up to it
 DEGREE_LIMIT = 20
 MAX_PERIOD_LIMIT = 40
 ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
 ORACLE_M_LIMIT = 30  # that grows polynomially in both n and m
 INTEGRAL_N_LIMIT = 1000  # integral-check: exact integrals over n + 2 pieces
+POLYGON_N_LIMIT = 10_000  # polygon: n + 2 pieces, each with exact vertices
+LIMITS_N_LIMIT = 100_000  # limits: a growth step of h1_omega at every n up to it
+# omega: past it the exact rates' numerators exceed CPython's 4300-digit
+# int-to-str limit, so they could not be printed
+OMEGA_N_LIMIT = 4964
 
 
-def _need_nm(args, m_limit: int | None = None) -> tuple[int, int]:
+def _need_n(args, n_limit: int = N_LIMIT) -> int:
     _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
+    _require(args.n <= n_limit, f"--n must be <= {n_limit}")
+    return args.n
+
+
+def _need_nm(args, m_limit: int = M_LIMIT, n_limit: int = N_LIMIT) -> tuple[int, int]:
+    n = _need_n(args, n_limit)
     _require(args.m is not None and args.m >= 0, "--m must be an integer >= 0")
-    if m_limit is not None:
-        _require(args.m <= m_limit, f"--m must be <= {m_limit}")
-    return args.n, args.m
+    _require(args.m <= m_limit, f"--m must be <= {m_limit}")
+    return n, args.m
 
 
 def _cmd_hsum(args):
-    n, m = _need_nm(args, M_LIMIT)
+    n, m = _need_nm(args)
     return {"n": n, "m": m, "hsum": latticesum.hsum(n, m)}, 0
 
 
 def _cmd_sweep(args):
-    _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
+    _need_n(args)
     _require(args.m_from is not None and args.m_from >= 0, "--m-from must be >= 0")
     _require(args.m_to is not None and args.m_to >= -1, "--m-to must be >= -1")
     _require(args.m_to <= M_TO_LIMIT, f"--m-to must be <= {M_TO_LIMIT}")
@@ -230,8 +242,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_oracle_verify(args):
-    n, m = _need_nm(args, ORACLE_M_LIMIT)
-    _require(n <= ORACLE_N_LIMIT, f"--n must be <= {ORACLE_N_LIMIT}")
+    n, m = _need_nm(args, ORACLE_M_LIMIT, ORACLE_N_LIMIT)
     formula = latticesum.hsum(n, m)
     brute = oracle.hsum_oracle(n, m)
     match = formula == brute
@@ -241,7 +252,7 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_omega(args):
-    _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
+    _need_n(args, OMEGA_N_LIMIT)
     return {
         "n": args.n,
         "h0_omega": asymptotics.h0_omega(args.n),
@@ -250,7 +261,7 @@ def _cmd_omega(args):
 
 
 def _cmd_mu(args):
-    n, m = _need_nm(args, M_LIMIT)
+    n, m = _need_nm(args)
     return {"n": n, "m": m, "mu": invariants.mu(n, m)}, 0
 
 
@@ -260,7 +271,7 @@ def _cmd_chi_orb(args):
 
 
 def _cmd_h1(args):
-    n, m = _need_nm(args, M_LIMIT)
+    n, m = _need_nm(args)
     rec = invariants.invariant_record(n, m)
     value = rec["h1"]
     ok = value.denominator == 1 and value >= 0
@@ -275,7 +286,7 @@ def _cmd_divisor(args):
 
 
 def _cmd_polygon(args):
-    n, m = _need_nm(args)
+    n, m = _need_nm(args, n_limit=POLYGON_N_LIMIT)
     poly = latticesum.polygon(n, m)
     piece_payload = []
     for piece in asymptotics.pieces(n, m):
@@ -300,7 +311,7 @@ def _cmd_polygon(args):
 
 
 def _cmd_fit(args):
-    _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
+    _need_n(args)
     _require(args.degree >= 0, "--degree must be >= 0")
     _require(args.degree <= DEGREE_LIMIT, f"--degree must be <= {DEGREE_LIMIT}")
     _require(args.max_period >= 1, "--max-period must be >= 1")
@@ -325,8 +336,7 @@ def _cmd_fit(args):
 
 
 def _cmd_integral_check(args):
-    n, m = _need_nm(args, M_LIMIT)
-    _require(n <= INTEGRAL_N_LIMIT, f"--n must be <= {INTEGRAL_N_LIMIT}")
+    n, m = _need_nm(args, n_limit=INTEGRAL_N_LIMIT)
     return asymptotics.integral_vs_sum_check(n, m), 0
 
 
@@ -338,6 +348,7 @@ def _cmd_bigness(args):
 
 def _cmd_limits(args):
     _require(args.n is not None and args.n >= 2, "--n (the n_max to scan) must be >= 2")
+    _require(args.n <= LIMITS_N_LIMIT, f"--n must be <= {LIMITS_N_LIMIT}")
     return {
         "h0": asymptotics.h0_omega_limit_report(args.n),
         "h1": invariants.h1_omega_limit_report(args.n),

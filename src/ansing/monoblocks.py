@@ -90,8 +90,3 @@ def codim_reg(t: TripleIndex, r: int) -> int:
         raise ValueError(f"chart index r={r} outside -1..{t.n}")
     return max(0, -chart_order(t, r))
 
-
-def dim_vreg(t: TripleIndex) -> int:
-    """Dimension of the regular part of the block: monomials with no pole
-    along either boundary chart."""
-    return max(0, t.m + 1 - codim_reg(t, -1) - codim_reg(t, t.n))

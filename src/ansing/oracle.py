@@ -1,52 +1,43 @@
 """Brute-force oracle for the obstruction counts, by exact linear algebra.
 
 Independently of the closed weight formula, the obstruction dimension of a
-block is the rank gap between two systems of point-vanishing conditions on
-degree-m binary forms.  Chart r contributes vanishing to order
+block is a gap between two spaces of degree-m binary forms cut out by
+point-vanishing conditions.  One primitive measures both:
+``forms_dim(conditions, m)`` is the dimension of the forms that vanish to
+each given order at each given point, (m+1) minus the exact rank of the
+stacked derivative rows (``vanishing_rows``).  Chart r contributes order
 codim_reg(t, r) at the point [r+1 : r-n] of the projective line; the points
-for r = -1..n are pairwise distinct.  Writing rank_all for the stacked
-system over all charts and rank_ends for the system of the two boundary
-charts r in {-1, n}:
+for r = -1..n are pairwise distinct.  The regular part of the block is cut
+out by the two boundary charts r in {-1, n}, of rank rank_ends, and the
+unobstructed part by all n + 2 charts, so
 
-    oracle dimension = rank_all - rank_ends
+    oracle dimension = (m+1) - rank_ends - forms_dim(all charts, m).
 
-since the regular part of the block has dimension (m+1) - rank_ends and the
-unobstructed subspace has dimension (m+1) - rank_all.  Ranks are computed,
-never assumed, and are exact over Q, in two stages.  First a singleton pass
-over Z: a row with one nonzero entry is a pivot on its column, so each such
-column counts once and is deleted from the other rows, and the rank is their
-number plus the rank of what is left.  At the boundary points [0 : -n-1]
-and [n+1 : 0] every nonzero derivative row is a singleton, so this pass
-settles rank_ends outright and takes those columns out of rank_all.  Then
-the remainder is eliminated over the prime field F_p: a minor that is
-nonzero mod p is nonzero over Z, so rank_p <= rank_Q <= min(rows, cols) of
-the remainder, and rank_p reaching that bound certifies its rational rank.
-Only a remainder whose rank falls short of the bound is recomputed by
-fraction-free (Bareiss) elimination over the integers.  By Hermite
-interpolation on P^1 every system the oracle stacks has full rank, so on
-its own matrices the certificate holds unless p divides a maximal minor.
+rank_ends takes no elimination.  At [0 : -n-1] the t-th derivative row has
+one nonzero entry, in column m - t, and at [n+1 : 0] one, in column t; rows
+past t = m are zero.  Singleton rows span the coordinate subspace of their
+columns, so rank_ends is the number of distinct columns they hit.  On an
+admissible block the two column sets do not even meet: with
+c_r = codim_reg(t, r) = max(0, -i1(r)), i1(-1) + i1(n) = i - m, and
+admissibility, (n+1)|khat| <= i + m, gives i1(r) >= -m at both ends.  So
+c_-1 + c_n <= m (both positive: the sum is m - i; else one is 0 and the
+other at most m), and {m-c_-1+1, .., m} and {0, .., c_n-1} are disjoint;
+counting rows would give the same number.  Each nonzero block therefore
+costs one rank computation, of the stacked system.
+
+Ranks are computed, never assumed, and are exact over Q: ``rank`` takes the
+singleton rows as pivots over Z (in the stacked system, the boundary rows)
+and certifies the rank of the remainder mod p, with a Bareiss fallback.  By
+Hermite interpolation on P^1 every system the oracle stacks has full rank,
+so on its own matrices the certificate holds unless p divides a maximal
+minor.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .monoblocks import TripleIndex, admissible_triples, codim_reg
-
-
-@dataclass(frozen=True)
-class VanishingCondition:
-    """Vanishing to the given order at the point [a : b] of the line."""
-
-    point: tuple[int, int]
-    multiplicity: int
-
-    def __post_init__(self) -> None:
-        if self.point == (0, 0):
-            raise ValueError("degenerate point (0, 0)")
-        if self.multiplicity < 0:
-            raise ValueError("multiplicity must be >= 0")
 
 
 # The largest prime below 2^30: residues are one-digit CPython ints, which
@@ -56,20 +47,30 @@ class VanishingCondition:
 _PRIME = 2**30 - 35
 
 
-def vanishing_rows(cond: VanishingCondition, m: int) -> list[list[int]]:
-    """Linear conditions on the m+1 coefficients of P = sum p_l X^(m-l) Y^l.
+def vanishing_rows(point: tuple[int, int], order: int, m: int) -> list[list[int]]:
+    """Linear conditions on the m+1 coefficients of P = sum p_l X^(m-l) Y^l
+    for vanishing to the given order at the point [a : b] of the line.
 
     Row t is the t-th derivative of P along a fixed direction transversal to
-    [a : b], evaluated at (a, b), for t = 0..multiplicity-1; rows past t = m
-    are zero.  Any row set with the same row space is acceptable; only the
-    rank matters.  The rows are fresh lists, so callers may mutate them.
+    [a : b], evaluated at (a, b), for t = 0..order-1; rows past t = m are
+    zero.  Any row set with the same row space is acceptable; only the rank
+    matters.  The rows are fresh lists, so callers may mutate them.
     """
-    if cond.multiplicity < 1:
-        raise ValueError("need multiplicity >= 1")
-    table = _derivative_table(cond.point, m)
-    rows = [list(row) for row in table[: cond.multiplicity]]
-    rows.extend([0] * (m + 1) for _ in range(cond.multiplicity - len(table)))
+    if point == (0, 0):
+        raise ValueError("degenerate point (0, 0)")
+    if order < 1:
+        raise ValueError("need order >= 1")
+    table = _derivative_table(point, m)
+    rows = [list(row) for row in table[:order]]
+    rows.extend([0] * (m + 1) for _ in range(order - len(table)))
     return rows
+
+
+def forms_dim(conditions: list[tuple[tuple[int, int], int]], m: int) -> int:
+    """Dimension of the degree-m binary forms that vanish to each order at
+    its point, for conditions ((a, b), order); order 0 imposes nothing."""
+    rows = [row for point, order in conditions if order for row in vanishing_rows(point, order, m)]
+    return m + 1 - rank(rows, m + 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -205,32 +206,21 @@ def _rank_bareiss(matrix: list[list[int]], ncols: int) -> int:
     return pivot_row
 
 
-def conditions_for_triple(t: TripleIndex) -> list[VanishingCondition]:
-    """One condition per chart r = -1..n: order codim_reg(t, r) at [r+1 : r-n]."""
-    return [
-        VanishingCondition((r + 1, r - t.n), codim_reg(t, r))
-        for r in range(-1, t.n + 1)
-    ]
-
-
-def _stacked_rows(conds: list[VanishingCondition], m: int) -> list[list[int]]:
-    rows: list[list[int]] = []
-    for cond in conds:
-        if cond.multiplicity > 0:
-            rows.extend(vanishing_rows(cond, m))
-    return rows
-
-
 def hsum_oracle_triple(t: TripleIndex) -> int:
-    """Obstruction dimension of one block, from two exact rank computations."""
-    conds = conditions_for_triple(t)
-    if all(c.multiplicity == 0 for c in conds):
+    """Obstruction dimension of one block: (m+1) - rank_ends - forms_dim of
+    all n + 2 charts, with rank_ends counted off the boundary columns."""
+    n, m = t.n, t.m
+    conditions = [((r + 1, r - n), codim_reg(t, r)) for r in range(-1, n + 1)]
+    if not any(order for _, order in conditions):
         return 0
-    m = t.m
-    ends = [conds[0], conds[-1]]  # boundary charts r = -1 and r = n
-    rank_all = rank(_stacked_rows(conds, m), m + 1)
-    rank_ends = rank(_stacked_rows(ends, m), m + 1)
-    return rank_all - rank_ends
+    columns: set[int] = set()
+    for point, order in (conditions[0], conditions[-1]):  # [0 : -n-1], [n+1 : 0]
+        for row in _derivative_table(point, m)[:order]:
+            hit = [col for col, x in enumerate(row) if x]
+            if len(hit) > 1:
+                raise ArithmeticError(f"boundary row at {point} is not a singleton: {row}")
+            columns.update(hit)
+    return m + 1 - len(columns) - forms_dim(conditions, m)
 
 
 def hsum_oracle(n: int, m: int) -> int:

@@ -2,23 +2,30 @@
 
 By Hermite interpolation on P^1, a nonzero binary form of degree m has at
 most m zeros counted with multiplicity, so vanishing conditions at distinct
-points of the line are independent up to m+1.  Every system
-``oracle.hsum_oracle_triple`` stacks therefore has rank
-min(m+1, total multiplicity); a block where it does not means a defect in
-``vanishing_rows`` or ``rank``.
+points of the line are independent up to m+1: the forms vanishing to orders
+c_j at distinct points have dimension max(0, m + 1 - sum c_j).  Every system
+``oracle.hsum_oracle_triple`` stacks is of this kind; a block where
+``forms_dim`` disagrees means a defect in ``vanishing_rows`` or ``rank``.
 """
 
 from __future__ import annotations
 
-from ansing.monoblocks import TripleIndex
-from ansing.oracle import _stacked_rows, conditions_for_triple, rank
+from ansing.monoblocks import TripleIndex, codim_reg
+from ansing.oracle import forms_dim
+
+
+def chart_conditions(t: TripleIndex) -> list[tuple[tuple[int, int], int]]:
+    """One condition per chart r = -1..n: order codim_reg(t, r) at [r+1 : r-n]."""
+    return [((r + 1, r - t.n), codim_reg(t, r)) for r in range(-1, t.n + 1)]
+
+
+def hermite_dim(orders, m: int) -> int:
+    """Dimension of the degree-m forms vanishing to the given orders at
+    pairwise distinct points of the line."""
+    return max(0, m + 1 - sum(orders))
 
 
 def general_position_check(t: TripleIndex) -> bool:
-    """True iff the stacked chart conditions of the block have full rank."""
-    conds = conditions_for_triple(t)
-    total = sum(c.multiplicity for c in conds)
-    if total == 0:
-        return True
-    stacked = rank(_stacked_rows(conds, t.m), t.m + 1)
-    return stacked == min(t.m + 1, total)
+    """True iff the stacked chart conditions of the block are independent."""
+    conditions = chart_conditions(t)
+    return forms_dim(conditions, t.m) == hermite_dim([order for _, order in conditions], t.m)

@@ -6,7 +6,8 @@ single weight.  The functions here compute the same count other ways, so
 the tests can check the row sums against enumerations that share nothing
 with them: ``hsum_pointwise`` calls ``weight`` once per parity-valid point,
 and ``hsum_via_triples`` calls the per-block ``hsum_triple``, built on the
-chart codimensions of ``monoblocks``, once per admissible block.
+chart codimensions of ``monoblocks`` and the regular-part dimension
+``dim_vreg``, once per admissible block.
 ``hsum_bisection`` still sums rows in closed form but finds each crossing
 by bisection; it is O(m log m), so it checks the kernel at degrees where
 the pointwise walk is too slow.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ansing.latticesum import Polygon
-from ansing.monoblocks import TripleIndex, admissible_triples, codim_reg, dim_vreg
+from ansing.monoblocks import TripleIndex, admissible_triples, codim_reg
 
 LatticePoint = tuple[int, int]
 
@@ -85,6 +86,12 @@ def hsum_pointwise(n: int, m: int) -> int:
         for x1 in range(start, x1_hi + 1, 2):
             total += weight(n, m, (x1, x2))
     return total
+
+
+def dim_vreg(t: TripleIndex) -> int:
+    """Dimension of the regular part of the block: monomials with no pole
+    along either boundary chart."""
+    return max(0, t.m + 1 - codim_reg(t, -1) - codim_reg(t, t.n))
 
 
 def hsum_triple(t: TripleIndex) -> int:

@@ -499,13 +499,19 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 
 @pytest.fixture
-def free_hsum(monkeypatch):
-    """hsum, the oracle and the integral check as constants in the CLI's
-    namespace: the tests below check which arguments the bounds admit, not
-    what those arguments cost."""
+def free_kernels(monkeypatch):
+    """hsum, the oracle, the integral check, the polygon pieces, the divisor
+    and the limit reports as constants in the CLI's namespace: the tests below check
+    which arguments the bounds admit, not what those arguments cost.  omega
+    runs for real, since what its bound guards is the printing of its exact
+    rates."""
     monkeypatch.setattr(cli.latticesum, "hsum", lambda n, m: 0)
     monkeypatch.setattr(cli.oracle, "hsum_oracle", lambda n, m: 0)
     monkeypatch.setattr(cli.asymptotics, "integral_vs_sum_check", lambda n, m: {"n": n, "m": m})
+    monkeypatch.setattr(cli.asymptotics, "pieces", lambda n, m: [])
+    monkeypatch.setattr(cli.extension, "divisor_record", lambda n, m: {"n": n, "m": m})
+    monkeypatch.setattr(cli.asymptotics, "h0_omega_limit_report", lambda n_max: {})
+    monkeypatch.setattr(cli.invariants, "h1_omega_limit_report", lambda n_max: {})
 
 
 @pytest.mark.parametrize(
@@ -519,13 +525,22 @@ def free_hsum(monkeypatch):
         # and the default --m-to they imply, (degree + 3) * max_period - 1
         ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT), "--max-period", str(cli.MAX_PERIOD_LIMIT)],
         ["hsum-sweep", "--n", "2", "--m-from", str(cli.M_TO_LIMIT), "--m-to", str(cli.M_TO_LIMIT)],
+        ["omega", "--n", str(cli.OMEGA_N_LIMIT)],
+        ["polygon", "--n", str(cli.POLYGON_N_LIMIT), "--m", str(cli.M_LIMIT)],
+        ["divisor", "--n", str(cli.N_LIMIT), "--m", str(cli.M_LIMIT)],
+        ["limits", "--n", str(cli.LIMITS_N_LIMIT)],
+        ["chi-orb", "--n", str(cli.N_LIMIT), "--m", str(cli.M_LIMIT)],
+        ["hsum", "--n", str(cli.N_LIMIT), "--m", "2"],
+        ["hsum-sweep", "--n", str(cli.N_LIMIT), "--m-from", "0", "--m-to", "0"],
+        ["fit", "--n", str(cli.N_LIMIT)],
     ],
     ids=[
         "hsum-m", "mu-m", "oracle-verify-n-m", "integral-check-n-m", "fit-m-to",
-        "fit-degree-and-period", "sweep-m-to",
+        "fit-degree-and-period", "sweep-m-to", "omega-n", "polygon-n-m", "divisor-n-m", "limits-n",
+        "chi-orb-n-m", "hsum-n", "sweep-n", "fit-n",
     ],
 )
-def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
+def test_arguments_at_their_bound_are_accepted(capsys, free_kernels, argv):
     code, captured = run_raw(capsys, argv + ["--no-timestamp"])
     assert code == 0 and captured.err == ""
 
@@ -535,7 +550,11 @@ def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
     [
         *(
             ([verb, "--n", "2", "--m", str(cli.M_LIMIT + 1)], f"--m must be <= {cli.M_LIMIT}")
-            for verb in ("hsum", "h1", "integral-check", "mu")
+            for verb in ("hsum", "h1", "integral-check", "mu", "chi-orb", "divisor", "polygon")
+        ),
+        *(
+            ([verb, "--n", str(cli.N_LIMIT + 1), "--m", "2"], f"--n must be <= {cli.N_LIMIT}")
+            for verb in ("hsum", "mu", "chi-orb", "h1", "divisor")
         ),
         (
             ["oracle-verify", "--n", "2", "--m", str(cli.ORACLE_M_LIMIT + 1)],
@@ -562,10 +581,20 @@ def test_arguments_at_their_bound_are_accepted(capsys, free_hsum, argv):
             ["hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", str(cli.M_TO_LIMIT + 1)],
             f"--m-to must be <= {cli.M_TO_LIMIT}",
         ),
+        (["omega", "--n", str(cli.OMEGA_N_LIMIT + 1)], f"--n must be <= {cli.OMEGA_N_LIMIT}"),
+        (["polygon", "--n", str(cli.POLYGON_N_LIMIT + 1), "--m", "2"], f"--n must be <= {cli.POLYGON_N_LIMIT}"),
+        (["limits", "--n", str(cli.LIMITS_N_LIMIT + 1)], f"--n must be <= {cli.LIMITS_N_LIMIT}"),
+        (
+            ["hsum-sweep", "--n", str(cli.N_LIMIT + 1), "--m-from", "0", "--m-to", "0"],
+            f"--n must be <= {cli.N_LIMIT}",
+        ),
+        (["fit", "--n", str(cli.N_LIMIT + 1)], f"--n must be <= {cli.N_LIMIT}"),
     ],
     ids=[
-        "hsum-m", "h1-m", "integral-check-m", "mu-m", "oracle-verify-m", "oracle-verify-n",
-        "integral-check-n", "fit-m-to", "fit-degree", "fit-period", "sweep-m-to",
+        "hsum-m", "h1-m", "integral-check-m", "mu-m", "chi-orb-m", "divisor-m", "polygon-m",
+        "hsum-n", "mu-n", "chi-orb-n", "h1-n", "divisor-n",
+        "oracle-verify-m", "oracle-verify-n", "integral-check-n", "fit-m-to", "fit-degree",
+        "fit-period", "sweep-m-to", "omega-n", "polygon-n", "limits-n", "sweep-n", "fit-n",
     ],
 )
 def test_arguments_beyond_their_bound_exit_2(capsys, argv, bound):

@@ -9,9 +9,9 @@ from ansing.monoblocks import (
     admissible_triples,
     chart_order,
     codim_reg,
-    dim_vreg,
     parity_holds,
 )
+from lattice_oracle import dim_vreg
 
 
 def valid_triples(n_max: int, m_max: int):

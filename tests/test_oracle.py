@@ -9,13 +9,13 @@ from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples
 from ansing.oracle import (
     _PRIME,
-    VanishingCondition,
+    forms_dim,
     hsum_oracle,
     hsum_oracle_triple,
     rank,
     vanishing_rows,
 )
-from general_position import general_position_check
+from general_position import chart_conditions, general_position_check, hermite_dim
 from lattice_oracle import hsum_triple
 
 
@@ -42,7 +42,7 @@ def _rank_fraction_elimination(rows, ncols):
 
 
 def test_vanishing_rows_coordinate_point():
-    rows = vanishing_rows(VanishingCondition((0, 1), 1), 2)
+    rows = vanishing_rows((0, 1), 1, 2)
     # single row selecting the coefficient of Y^2
     assert len(rows) == 1
     assert rows[0][0] == rows[0][1] == 0
@@ -50,23 +50,23 @@ def test_vanishing_rows_coordinate_point():
 
 
 def test_vanishing_rows_diagonal_point():
-    rows = vanishing_rows(VanishingCondition((1, 1), 1), 1)
+    rows = vanishing_rows((1, 1), 1, 1)
     assert rows == [[1, 1]]
 
 
 def test_vanishing_rows_double_point_rank_two():
-    rows = vanishing_rows(VanishingCondition((1, 1), 2), 2)
+    rows = vanishing_rows((1, 1), 2, 2)
     assert rank(rows, 3) == 2
     # the stated row space: P(1,1) = 0 and its X-derivative
     reference = [[1, 1, 1], [2, 1, 0]]
     assert rank(rows + reference, 3) == 2
 
 
-def _vanishing_rows_direct(cond, m):
+def _vanishing_rows_direct(point, order, m):
     """One condition's rows built entry by entry, as the t-th derivative."""
-    a, b = cond.point
+    a, b = point
     rows = []
-    for t in range(cond.multiplicity):
+    for t in range(order):
         row = [0] * (m + 1)
         for l in range(m + 1):
             if b != 0:
@@ -83,22 +83,57 @@ def test_vanishing_rows_match_direct_construction():
     for n in range(1, 5):
         for r in range(-1, n + 1):
             for m in range(0, 11):
-                for multiplicity in range(1, m + 2):
-                    cond = VanishingCondition((r + 1, r - n), multiplicity)
-                    assert vanishing_rows(cond, m) == _vanishing_rows_direct(cond, m)
+                for order in range(1, m + 2):
+                    point = (r + 1, r - n)
+                    assert vanishing_rows(point, order, m) == _vanishing_rows_direct(point, order, m)
     # past t = m every derivative of a degree-m form vanishes
-    cond = VanishingCondition((2, -1), 5)
-    assert vanishing_rows(cond, 2) == _vanishing_rows_direct(cond, 2)
+    assert vanishing_rows((2, -1), 5, 2) == _vanishing_rows_direct((2, -1), 5, 2)
 
 
 def test_vanishing_rows_are_fresh_lists():
-    cond = VanishingCondition((3, -2), 3)
-    first = vanishing_rows(cond, 6)
+    first = vanishing_rows((3, -2), 3, 6)
     expected = [list(row) for row in first]
     first[0][0] = 999
     first[1].append(7)
     first.append([1] * 7)
-    assert vanishing_rows(cond, 6) == expected
+    assert vanishing_rows((3, -2), 3, 6) == expected
+
+
+def _support(row):
+    return [col for col, x in enumerate(row) if x]
+
+
+def test_boundary_rows_are_singletons():
+    # row t hits column m - t alone at [0 : -n-1] and column t alone at
+    # [n+1 : 0], so rank_ends is a count of columns
+    for n in range(1, 9):
+        for m in range(0, 21):
+            low = vanishing_rows((0, -n - 1), m + 1, m)
+            high = vanishing_rows((n + 1, 0), m + 1, m)
+            for t in range(m + 1):
+                assert _support(low[t]) == [m - t]
+                assert _support(high[t]) == [t]
+
+
+def _distinct_points(rng, count):
+    """Pairwise distinct points of the line, as coprime pairs whose first
+    nonzero coordinate is positive."""
+    points = set()
+    while len(points) < count:
+        a, b = rng.randint(-9, 9), rng.randint(-9, 9)
+        if math.gcd(a, b) == 1:
+            points.add((a, b) if (a, b) > (0, 0) else (-a, -b))
+    return sorted(points)
+
+
+def test_forms_dim_is_hermite_on_distinct_points():
+    # any distinct points, not only the chart points [r+1 : r-n]
+    rng = random.Random(1729)
+    for _ in range(150):
+        m = rng.randint(0, 12)
+        points = _distinct_points(rng, rng.randint(1, 6))
+        orders = [rng.randint(0, m + 2) for _ in points]
+        assert forms_dim(list(zip(points, orders)), m) == hermite_dim(orders, m)
 
 
 def test_rank_falls_back_when_p_hides_a_pivot():
@@ -177,9 +212,9 @@ def test_oracle_systems_are_certified_mod_p(monkeypatch):
 
 def test_degenerate_point_rejected():
     with pytest.raises(ValueError):
-        VanishingCondition((0, 0), 1)
+        vanishing_rows((0, 0), 1, 3)
     with pytest.raises(ValueError):
-        vanishing_rows(VanishingCondition((1, 0), 0), 3)
+        vanishing_rows((1, 0), 0, 3)
 
 
 def test_rank_matches_fraction_elimination_on_random_matrices():
@@ -238,3 +273,33 @@ def test_triplewise_equivalence_and_general_position_small_range():
             for t in admissible_triples(n, m, i_max=(n + 1) * m):
                 assert hsum_oracle_triple(t) == hsum_triple(t)
                 assert general_position_check(t)
+
+
+def _rank_gap(conditions, m):
+    return forms_dim([conditions[0], conditions[-1]], m) - forms_dim(conditions, m)
+
+
+def test_oracle_triple_is_the_rank_gap_of_the_chart_systems():
+    # one elimination and a column count against two eliminations
+    for n in range(1, 9):
+        for m in range(0, 15):
+            for t in admissible_triples(n, m, n * m - 1):
+                assert hsum_oracle_triple(t) == _rank_gap(chart_conditions(t), m)
+
+
+def test_oracle_triple_counts_rank_ends_on_the_boundary_charts_alone(monkeypatch):
+    # orders no block has: interior charts of order past m give singleton
+    # rows too, and boundary orders summing past m + 1 share columns
+    rng = random.Random(4242)
+    for _ in range(300):
+        n, m = rng.randint(1, 6), rng.randint(0, 10)
+        orders = [rng.randint(0, m + 2) for _ in range(n + 2)]
+        monkeypatch.setattr(oracle, "codim_reg", lambda t, r: orders[r + 1])
+        conditions = [((r + 1, r - n), orders[r + 1]) for r in range(-1, n + 1)]
+        assert hsum_oracle_triple(TripleIndex(n, 0, m, m)) == _rank_gap(conditions, m)
+
+
+def test_non_singleton_boundary_row_raises(monkeypatch):
+    monkeypatch.setattr(oracle, "_derivative_table", lambda point, m: ((1,) * (m + 1),) * (m + 1))
+    with pytest.raises(ArithmeticError):
+        hsum_oracle_triple(TripleIndex(1, 0, 0, 2))
