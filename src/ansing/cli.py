@@ -6,8 +6,8 @@ exit 2, a usage error included, prints one JSON object {"error": ...} on
 stderr and nothing on stdout.  Each verb accepts only the flags it reads.
 Verification verbs exit nonzero on mismatch so CI can gate on them.
 Rationals are serialized as "p/q" everywhere, timestamps are suppressed with
---no-timestamp, and sweeps can fan out over worker processes and persist
-rows in an append-only checksummed cache.
+--no-timestamp, and sweeps can persist rows in an append-only checksummed
+cache.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -146,14 +145,6 @@ def _append_cache(path: Path, n: int, rows: list[dict]) -> None:
         raise _cache_error(path, exc) from exc
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def sweep(
     n: int,
     m_from: int,
@@ -163,26 +154,30 @@ def sweep(
 ) -> list[dict]:
     """Rows {m, hsum, mu, chi_orb, h1} for m_from..m_to, ordered by m.
 
-    Missing rows are computed on min(parallel, rows missing, CPUs available)
-    worker processes, or in this process when that is 1.
+    Missing rows are computed in the calling process; `parallel` is accepted
+    and ignored, as a row costs less than starting a worker process would.
     """
     wanted = range(m_from, m_to + 1)
     cached = _load_cache(cache_path, n, wanted) if cache_path else {}
     rows = {m: cached[m] for m in wanted if m in cached}
     missing = [m for m in wanted if m not in rows]
     if missing:
-        tasks = [(n, m) for m in missing]
-        workers = min(parallel, len(tasks), _available_cpus())
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                computed = list(pool.map(_sweep_row, tasks))
-        else:
-            computed = [_sweep_row(task) for task in tasks]
+        computed = [_sweep_row((n, m)) for m in missing]
         for row in computed:
             rows[row["m"]] = row
         if cache_path:
             _append_cache(cache_path, n, computed)
     return [rows[m] for m in wanted]
+
+
+def __getattr__(name: str):
+    # Exists only for bench/tracing.py, which subclasses the pool sweeps no longer
+    # use; imported on request, off start-up.  ROADMAP A's stats hook deletes it.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +477,9 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    # pin the int-to-str digit limit every --n and --m bound was sized for
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        sys.set_int_max_str_digits(4300)
     sys.exit(run(sys.argv[1:]))
 
 

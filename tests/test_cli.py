@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -369,45 +373,60 @@ def test_parallel_sweep_matches_serial(capsys):
     assert serial["rows"] == parallel["rows"]
 
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """Put a stand-in for the process pool in place; it maps in this process
-    and records the max_workers of every pool built."""
-    requests = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            requests.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
-    return requests
+@pytest.mark.parametrize("cache", [False, True], ids=["no-cache", "cache"])
+@pytest.mark.parametrize("parallel", ["1", "2", "64"])
+def test_parallel_leaves_sweep_output_unchanged(capsys, tmp_path, parallel, cache):
+    serial = _cold_sweep(capsys, 2, 6)
+    argv = _sweep_argv(2, 6) + ["--parallel", parallel]
+    if cache:
+        argv += ["--cache", str(tmp_path / "rows.jsonl")]
+    for _ in range(2):  # with --cache: every row computed, then every row served
+        code, captured = run_raw(capsys, argv)
+        assert code == 0 and captured.err == ""
+        assert captured.out == serial
 
 
-def test_one_missing_row_builds_no_pool(capsys, tmp_path, fake_pool):
-    cache = tmp_path / "rows.jsonl"
-    warm = _sweep_argv(2, 3) + ["--cache", str(cache)]
-    assert run_raw(capsys, warm)[0] == 0
-    argv = _sweep_argv(2, 4) + ["--cache", str(cache), "--parallel", "6"]
-    code, captured = run_raw(capsys, argv)
-    assert code == 0 and captured.out == _cold_sweep(capsys, 2, 4)
-    assert fake_pool == []
+def test_parallel_below_one_exits_2(capsys):
+    code, captured = run_raw(capsys, _sweep_argv(2, 3) + ["--parallel", "0"])
+    assert code == 2 and captured.out == ""
+    assert "--parallel" in json.loads(captured.err)["error"]
 
 
-@pytest.mark.parametrize("cpus, built", [(3, [3]), (8, [5]), (1, [])])
-def test_sweep_pool_is_capped_by_rows_and_cpus(capsys, monkeypatch, fake_pool, cpus, built):
-    monkeypatch.setattr(cli, "_available_cpus", lambda: cpus)
-    code, captured = run_raw(capsys, _sweep_argv(2, 4) + ["--parallel", "64"])
-    assert code == 0 and captured.out == _cold_sweep(capsys, 2, 4)
-    assert fake_pool == built
+SRC = Path(cli.__file__).resolve().parents[1]
+
+
+def test_cli_imports_no_process_machinery():
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+from ansing import cli
+code = cli.run(["hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", "6", "--parallel", "4"])
+loaded = [name for name in sys.modules
+          if name.partition(".")[0] == "multiprocessing" or name.startswith("concurrent.futures")]
+print(code, loaded, file=sys.stderr)
+"""
+    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert result.stderr == "0 []\n"
+
+
+def _cli_process(argv, int_digits=None):
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(SRC)
+    if int_digits is not None:
+        env["PYTHONINTMAXSTRDIGITS"] = int_digits
+    command = [sys.executable, "-m", "ansing.cli", *argv]
+    return subprocess.run(command, env=env, capture_output=True, text=True)
+
+
+def test_cli_pins_the_int_digit_limit_it_was_sized_for():
+    argv = ["omega", "--n", str(cli.OMEGA_N_LIMIT), "--no-timestamp"]
+    default, lowered = _cli_process(argv), _cli_process(argv, "640")
+    assert default.returncode == lowered.returncode == 0
+    assert lowered.stdout == default.stdout and lowered.stderr == ""
+    # a raised limit is pinned back too: 4301 digits are no integer to the CLI
+    huge = _cli_process(["hsum", "--n", "1", "--m", "1" * 4301], "0")
+    assert huge.returncode == 2 and huge.stdout == ""
+    assert "invalid int value" in json.loads(huge.stderr)["error"]
 
 
 def test_invalid_inputs_exit_2(capsys):

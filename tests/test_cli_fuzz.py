@@ -6,9 +6,9 @@ tokens.  Whatever the input, ``cli.run`` returns instead of raising, the
 exit code is 0, 2 or 3, and every exit 2 prints nothing on stdout and one
 JSON object with an "error" key on stderr.  Inputs stay small enough that
 every accepted call is fast: n <= 12, m <= 20, oracle-verify m <= 8,
-limits --n <= 500, at most two sweep workers.  Files only ever go to a
-temporary directory.  Needs hypothesis (the ``test`` extra); the module is
-skipped without it.
+limits --n <= 500; --parallel goes up to 64, since a sweep starts no
+process.  Files only ever go to a temporary directory.  Needs hypothesis
+(the ``test`` extra); the module is skipped without it.
 """
 
 import contextlib
@@ -56,7 +56,7 @@ def _value(verb: str, flag: str):
     elif flag == "--m":
         number = _ints(-3, 8 if verb == "oracle-verify" else 20)
     elif flag == "--parallel":
-        number = _ints(-2, 2)
+        number = _ints(-2, 64)
     else:  # --m-from, --m-to, --degree, --max-period
         number = _ints(-3, 20 if flag.startswith("--m-") else 12)
     return number | st.sampled_from(JUNK)

@@ -114,6 +114,10 @@ def test_h1_examples():
     assert h1(1, 2) == 3
     assert h1(2, 2) == 7
     assert h1(1, 0) == 0
+    # m = 3..6, so that an error confined to larger m shows
+    expected = {1: [9, 18, 30, 50], 2: [18, 37, 64, 104], 3: [28, 56, 98, 159]}
+    for n, values in expected.items():
+        assert [h1(n, m) for m in range(3, 7)] == values
 
 
 def test_h1_integrality_small_range():
