@@ -180,12 +180,17 @@ def _h0_rational_part(n: int) -> Fraction:
     )
 
 
-def _h1_rational_part(n: int) -> Fraction:
-    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
-    return Fraction(
+def _h1_rational_terms(n: int) -> tuple[int, int]:
+    """Numerator and positive denominator, not reduced, of _h1_rational_part(n)."""
+    return (
         n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
         6 * (n + 1) ** 2 * (n + 2) ** 2,
     )
+
+
+def _h1_rational_part(n: int) -> Fraction:
+    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
+    return Fraction(*_h1_rational_terms(n))
 
 
 def h0_omega(n: int) -> Fraction:

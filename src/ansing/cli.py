@@ -452,6 +452,23 @@ def _emit_csv(payload: dict) -> str:
 
 
 def run(argv: list[str]) -> int:
+    """Run one CLI call and return its exit code.
+
+    The int-to-str digit limit is pinned at 4300, the limit every --n and --m
+    bound was sized for, for the duration of the call; the caller's limit is
+    restored after it.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -477,9 +494,6 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    # pin the int-to-str digit limit every --n and --m bound was sized for
-    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
-        sys.set_int_max_str_digits(4300)
     sys.exit(run(sys.argv[1:]))
 
 

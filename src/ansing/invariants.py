@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymptotics import _basel, _basel_float, _basel_sums, _h1_rational_part
+from .asymptotics import _basel, _basel_float, _basel_sums, _h1_rational_part, _h1_rational_terms
 from .latticesum import hsum
 
 
@@ -115,9 +115,11 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
     samples 6*h1_omega(n)/n at large n in float.
 
     h1_omega(n) - h1_omega(n-1) is the step of the rational part minus
-    4/(3n^2), so growth is tested step by step on small fractions.  The
-    Basel partial sum, whose denominators grow like lcm(1..n)^2, is carried
-    only until the threshold is passed.
+    4/(3n^2), so growth is tested step by step, in integers: with the rational
+    part a/d at n and a'/d' at n - 1 (d, d' > 0), the step exceeds 4/(3n^2)
+    iff 3n^2 (a d' - a' d) > 4 d d'.  The Basel partial sum, whose
+    denominators grow like lcm(1..n)^2, is carried only until the threshold
+    is passed.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
@@ -126,12 +128,14 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
     basel_sums = _basel_sums(n_max)
     previous = None
     for n in range(1, n_max + 1):
-        part = _h1_rational_part(n)
-        if previous is not None and not part - previous > Fraction(4, 3 * n * n):
-            increasing = False
-        if first_exceeds is None and part - Fraction(4, 3) * next(basel_sums) > threshold:
+        num, den = _h1_rational_terms(n)
+        if previous is not None:
+            prev_num, prev_den = previous
+            if not 3 * n * n * (num * prev_den - prev_num * den) > 4 * den * prev_den:
+                increasing = False
+        if first_exceeds is None and Fraction(num, den) - Fraction(4, 3) * next(basel_sums) > threshold:
             first_exceeds = n
-        previous = part
+        previous = num, den
     return {
         "n_max": n_max,
         "strictly_increasing": increasing,

@@ -7,7 +7,7 @@ here enumerate the admissible blocks (``admissible_triples``, the one block
 loop of the package), give the order of a block on each resolution chart r
 (``chart_order``, the one copy of that affine form), and count how many
 monomials of a block fail to be regular along the exceptional curve meeting
-that chart.
+that chart (``codim_reg`` for one chart, ``chart_codims`` for all n + 2).
 """
 
 from __future__ import annotations
@@ -90,3 +90,15 @@ def codim_reg(t: TripleIndex, r: int) -> int:
         raise ValueError(f"chart index r={r} outside -1..{t.n}")
     return max(0, -chart_order(t, r))
 
+
+def chart_codims(t: TripleIndex) -> tuple[int, ...]:
+    """codim_reg(t, r) for r = -1..n, as one tuple.
+
+    The chart order i1(r) is affine in r with slope -khat, so all n + 2 values
+    follow from i1(-1) alone, stepping by -khat.
+    """
+    start = chart_order(t, -1)
+    if not t.khat:
+        return (max(0, -start),) * (t.n + 2)
+    orders = range(start, start - (t.n + 2) * t.khat, -t.khat)
+    return tuple([0 if order >= 0 else -order for order in orders])

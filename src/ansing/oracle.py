@@ -25,6 +25,14 @@ other at most m), and {m-c_-1+1, .., m} and {0, .., c_n-1} are disjoint;
 counting rows would give the same number.  Each nonzero block therefore
 costs one rank computation, of the stacked system.
 
+Within one (n, m) the points and m are the same for every block, so a
+block's dimension is fixed by its tuple of n + 2 chart orders
+(``monoblocks.chart_codims``).  ``hsum_oracle`` ranks each distinct tuple
+once, keeping the dimensions in a dict local to the call, and checks the rows
+of the two boundary tables once per call rather than once per block.  No
+system is skipped on the strength of an argument: every distinct one is
+ranked.
+
 Ranks are computed, never assumed, and are exact over Q: ``rank`` takes the
 singleton rows as pivots over Z (in the stacked system, the boundary rows)
 and certifies the rank of the remainder mod p, with a Bareiss fallback.  By
@@ -36,8 +44,10 @@ minor.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
+from itertools import compress
 
-from .monoblocks import TripleIndex, admissible_triples, codim_reg
+from .monoblocks import TripleIndex, admissible_triples, chart_codims, codim_reg
 
 
 # The largest prime below 2^30: residues are one-digit CPython ints, which
@@ -56,8 +66,6 @@ def vanishing_rows(point: tuple[int, int], order: int, m: int) -> list[list[int]
     zero.  Any row set with the same row space is acceptable; only the rank
     matters.  The rows are fresh lists, so callers may mutate them.
     """
-    if point == (0, 0):
-        raise ValueError("degenerate point (0, 0)")
     if order < 1:
         raise ValueError("need order >= 1")
     table = _derivative_table(point, m)
@@ -68,14 +76,23 @@ def vanishing_rows(point: tuple[int, int], order: int, m: int) -> list[list[int]
 
 def forms_dim(conditions: list[tuple[tuple[int, int], int]], m: int) -> int:
     """Dimension of the degree-m binary forms that vanish to each order at
-    its point, for conditions ((a, b), order); order 0 imposes nothing."""
-    rows = [row for point, order in conditions if order for row in vanishing_rows(point, order, m)]
+    its point, for conditions ((a, b), order); order 0 imposes nothing.
+
+    The rows are the cached table rows themselves, not copies: ``rank`` does
+    not mutate its input, and the zero rows past t = m add nothing to it.
+    """
+    rows = []
+    for point, order in conditions:
+        if order:
+            rows += _derivative_table(point, m)[:order]
     return m + 1 - rank(rows, m + 1)
 
 
 @functools.lru_cache(maxsize=256)
 def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], ...]:
     """All m+1 derivative rows t = 0..m of the point [a : b] in degree m."""
+    if point == (0, 0):
+        raise ValueError("degenerate point (0, 0)")
     a, b = point
     table = []
     for t in range(m + 1):
@@ -102,8 +119,9 @@ def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], 
     return tuple(table)
 
 
-def rank(rows: list[list[int]], ncols: int) -> int:
-    """Exact rank over Q of an integer matrix, in two stages.
+def rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Exact rank over Q of an integer matrix, given as a sequence of rows of
+    length ncols, in two stages; the rows are not mutated.
 
     1. Singleton pass over Z.  A row with exactly one nonzero entry is a
        pivot on that column: each such column is counted once, its rows are
@@ -123,15 +141,14 @@ def rank(rows: list[list[int]], ncols: int) -> int:
     pivots: set[int] = set()
     dense = []
     for row in rows:
-        nonzero = [col for col, x in enumerate(row) if x]
-        if len(nonzero) == 1:
-            pivots.add(nonzero[0])
-        elif nonzero:
+        zeros = row.count(0)
+        if zeros == ncols - 1:
+            pivots.add(next(compress(range(ncols), row)))
+        elif zeros < ncols:
             dense.append(row)
-    keep = [col for col in range(ncols) if col not in pivots]
-    matrix = [[row[col] for col in keep] for row in dense]
-    matrix = [row for row in matrix if any(row)]
-    left = len(keep)
+    keep = [col not in pivots for col in range(ncols)]
+    left = ncols - len(pivots)
+    matrix = [kept for kept in (list(compress(row, keep)) for row in dense) if any(kept)]
     bound = min(len(matrix), left)
     if _rank_mod_p(matrix, left) == bound:
         return len(pivots) + bound
@@ -206,21 +223,53 @@ def _rank_bareiss(matrix: list[list[int]], ncols: int) -> int:
     return pivot_row
 
 
+def _chart_points(n: int) -> list[tuple[int, int]]:
+    """The point [r+1 : r-n] of chart r, for r = -1..n."""
+    return [(r + 1, r - n) for r in range(-1, n + 1)]
+
+
+def _boundary_columns(n: int, m: int) -> tuple[list[int], list[int]]:
+    """Column of each derivative row t = 0..m at [0 : -n-1] and at [n+1 : 0].
+
+    Every row of both tables is checked to have exactly one nonzero entry; a
+    row that does not raises ArithmeticError, since rank_ends is then no
+    column count.
+    """
+    ends = []
+    for point in ((0, -n - 1), (n + 1, 0)):
+        columns = []
+        for row in _derivative_table(point, m):
+            if row.count(0) != m:
+                raise ArithmeticError(f"boundary row at {point} is not a singleton: {row}")
+            columns.append(next(compress(range(m + 1), row)))
+        ends.append(columns)
+    return ends[0], ends[1]
+
+
+def _system_dim(
+    points: list[tuple[int, int]],
+    orders: tuple[int, ...],
+    m: int,
+    ends: tuple[list[int], list[int]],
+) -> int:
+    """(m+1) - rank_ends - forms_dim of the charts with the given orders.
+
+    rank_ends counts the distinct columns of the first orders[0] rows at
+    [0 : -n-1] and orders[-1] rows at [n+1 : 0]; rows past t = m are zero.
+    """
+    if not any(orders):
+        return 0
+    low, high = ends
+    rank_ends = len(set(low[: orders[0]]).union(high[: orders[-1]]))
+    return m + 1 - rank_ends - forms_dim(list(zip(points, orders)), m)
+
+
 def hsum_oracle_triple(t: TripleIndex) -> int:
     """Obstruction dimension of one block: (m+1) - rank_ends - forms_dim of
     all n + 2 charts, with rank_ends counted off the boundary columns."""
     n, m = t.n, t.m
-    conditions = [((r + 1, r - n), codim_reg(t, r)) for r in range(-1, n + 1)]
-    if not any(order for _, order in conditions):
-        return 0
-    columns: set[int] = set()
-    for point, order in (conditions[0], conditions[-1]):  # [0 : -n-1], [n+1 : 0]
-        for row in _derivative_table(point, m)[:order]:
-            hit = [col for col, x in enumerate(row) if x]
-            if len(hit) > 1:
-                raise ArithmeticError(f"boundary row at {point} is not a singleton: {row}")
-            columns.update(hit)
-    return m + 1 - len(columns) - forms_dim(conditions, m)
+    orders = tuple(codim_reg(t, r) for r in range(-1, n + 1))
+    return _system_dim(_chart_points(n), orders, m, _boundary_columns(n, m))
 
 
 def hsum_oracle(n: int, m: int) -> int:
@@ -229,7 +278,19 @@ def hsum_oracle(n: int, m: int) -> int:
     Scans the block range 0 <= i <= n*m - 1; blocks beyond it extend
     holomorphically and contribute nothing (the formula-side enumeration
     covers a superset, so a discrepancy there would surface as a mismatch).
+    Blocks with the same chart orders stack the same system, so each
+    distinct system is ranked once per call.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    return sum(hsum_oracle_triple(t) for t in admissible_triples(n, m, n * m - 1))
+    points = _chart_points(n)
+    ends = _boundary_columns(n, m)
+    dims: dict[tuple[int, ...], int] = {}
+    total = 0
+    for t in admissible_triples(n, m, n * m - 1):
+        orders = chart_codims(t)
+        dim = dims.get(orders)
+        if dim is None:
+            dim = dims[orders] = _system_dim(points, orders, m, ends)
+        total += dim
+    return total

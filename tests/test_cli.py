@@ -429,6 +429,23 @@ def test_cli_pins_the_int_digit_limit_it_was_sized_for():
     assert "invalid int value" in json.loads(huge.stderr)["error"]
 
 
+def test_run_pins_the_int_digit_limit_for_an_embedding_caller():
+    # cli.run called from Python, not through main(): the limit holds for
+    # the call and the caller's own limit is back afterwards
+    argv = ["omega", "--n", str(cli.OMEGA_N_LIMIT), "--no-timestamp"]
+    script = (
+        "import sys; from ansing import cli; "
+        f"code = cli.run({argv!r}); "
+        "print(code, sys.get_int_max_str_digits(), file=sys.stderr)"
+    )
+    env = {key: val for key, val in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(SRC)
+    env["PYTHONINTMAXSTRDIGITS"] = "640"
+    embedded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert embedded.stderr.split() == ["0", "640"]
+    assert embedded.stdout == _cli_process(argv).stdout
+
+
 def test_invalid_inputs_exit_2(capsys):
     code, _ = run_raw(capsys, ["hsum", "--n", "0", "--m", "2"])
     assert code == 2

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ansing import cli
-from ansing.asymptotics import h0_omega
+from ansing.asymptotics import _h1_rational_part, h0_omega
 from ansing.exactmath import CycloElement, cyclotomic_polynomial
 from ansing.invariants import (
     MU_CACHE_SIZE,
@@ -189,6 +189,43 @@ def test_h1_omega_limit_report_matches_exact_accumulation():
             expected = _limit_report_by_accumulation(n_max, threshold)
             assert (report["strictly_increasing"], report["first_n_exceeding_threshold"]) == expected
             assert report["n_max"] == n_max and report["threshold"] == threshold
+
+
+def _limit_reports_by_fraction_steps(n_top, threshold=10):
+    """The report for every n_max = 2..n_top as the step-by-step Fraction
+    loop gives it: growth tested as part(n) - part(n-1) > 4/(3n^2) on the
+    reduced rational parts.  Both verdicts depend only on n <= n_max, so one
+    pass yields every report."""
+    samples = [{"n": n, "ratio": 6 * h1_omega_float(n) / n} for n in (1000, 10000)]
+    reports = {}
+    increasing = True
+    first_exceeds = None
+    basel = F(0)
+    previous = None
+    for n in range(1, n_top + 1):
+        part = _h1_rational_part(n)
+        if previous is not None and not part - previous > F(4, 3 * n * n):
+            increasing = False
+        if first_exceeds is None:
+            basel += F(1, n * n)
+            if part - F(4, 3) * basel > threshold:
+                first_exceeds = n
+        previous = part
+        reports[n] = {
+            "n_max": n,
+            "strictly_increasing": increasing,
+            "threshold": F(threshold),
+            "first_n_exceeding_threshold": first_exceeds,
+            "leading_ratio_samples": samples,
+        }
+    return reports
+
+
+def test_h1_omega_limit_report_matches_fraction_steps():
+    # the integer growth test against the Fraction loop it replaced
+    expected = _limit_reports_by_fraction_steps(2000)
+    for n_max in (*range(2, 301), 1561, 2000):
+        assert h1_omega_limit_report(n_max) == expected[n_max]
 
 
 def test_h1_asymptotic_consistency():

@@ -7,6 +7,7 @@ from ansing.monoblocks import (
     ParityError,
     TripleIndex,
     admissible_triples,
+    chart_codims,
     chart_order,
     codim_reg,
     parity_holds,
@@ -65,6 +66,15 @@ def test_codim_reg_is_the_verbatim_formula():
         for r in range(-1, t.n + 1):
             verbatim = Fraction(t.m - t.i, 2) + Fraction(2 * r - t.n + 1, 2) * t.khat
             assert codim_reg(t, r) == max(0, verbatim)
+
+
+def test_chart_codims_is_codim_reg_on_every_chart():
+    # every admissible block with n <= 8 and m <= 12, and the inadmissible
+    # ones of a smaller range
+    blocks = [t for n in range(1, 9) for m in range(0, 13) for t in admissible_triples(n, m)]
+    blocks += [t for t in valid_triples(3, 6) if not t.is_admissible()]
+    for t in blocks:
+        assert chart_codims(t) == tuple(codim_reg(t, r) for r in range(-1, t.n + 1))
 
 
 def test_integrality_exhaustive_small():

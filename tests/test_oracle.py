@@ -303,3 +303,72 @@ def test_non_singleton_boundary_row_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_derivative_table", lambda point, m: ((1,) * (m + 1),) * (m + 1))
     with pytest.raises(ArithmeticError):
         hsum_oracle_triple(TripleIndex(1, 0, 0, 2))
+    with pytest.raises(ArithmeticError):
+        hsum_oracle(1, 2)
+
+
+def test_every_boundary_row_is_checked_before_any_block(monkeypatch):
+    # only the last row t = m of the [n+1 : 0] table is spoiled; no
+    # admissible block reads it (c_-1 + c_n <= m), yet the check sees it,
+    # once per call and before any system is stacked
+    table = oracle._derivative_table
+    tables = []
+
+    def spoiled(point, m):
+        tables.append(point)
+        rows = table(point, m)
+        return rows[:-1] + ((1,) * (m + 1),) if point[1] == 0 else rows
+
+    monkeypatch.setattr(oracle, "_derivative_table", spoiled)
+    with pytest.raises(ArithmeticError):
+        hsum_oracle(3, 5)
+    assert tables == [(0, -4), (4, 0)]
+
+
+def test_hsum_oracle_is_the_sum_of_its_blocks():
+    for n in range(1, 9):
+        for m in range(0, 11):
+            blocks = admissible_triples(n, m, n * m - 1)
+            assert hsum_oracle(n, m) == sum(hsum_oracle_triple(t) for t in blocks)
+
+
+def test_hsum_oracle_ranks_each_distinct_system_once(monkeypatch):
+    calls = []
+    counted_rank = oracle.rank
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return counted_rank(rows, ncols)
+
+    monkeypatch.setattr(oracle, "rank", counted)
+    saved = 0
+    for n in range(1, 9):
+        for m in range(0, 11):
+            blocks = admissible_triples(n, m, n * m - 1)
+            systems = [tuple(order for _, order in chart_conditions(t)) for t in blocks]
+            nonzero = [orders for orders in systems if any(orders)]
+            calls.clear()
+            hsum_oracle(n, m)
+            assert len(calls) == len(set(nonzero))
+            saved += len(nonzero) - len(calls)
+    assert saved > 0
+
+
+def test_rank_over_q_with_zero_rows_and_signed_singletons(monkeypatch):
+    p = _PRIME
+    calls = _count_bareiss(monkeypatch)
+    cases = [
+        ([(0, 0, 0), (0, -3, 0), (0, 0, 0)], 3),
+        ([(0, 0, 0, 0), (-1, 0, 0, 0), (0, 0, 0, -5 * p), (2, 1, 1, 0), (0, 0, 0, 0)], 4),
+        ([(-p, 0), (0, 0), (3 * p, 0), (0, -2)], 2),
+        ([(0, 0, 0), (0, 0, 0)], 3),
+        ([(0, 7 * p, 0, 0), (1, -1, 0, 0), (0, 0, -1, 1), (0, 0, 0, 0)], 4),
+    ]
+    for rows, ncols in cases:
+        expected = _rank_fraction_elimination(rows, ncols)
+        assert rank(rows, ncols) == expected
+        as_lists = [list(row) for row in rows]
+        assert rank(as_lists, ncols) == expected
+        assert as_lists == [list(row) for row in rows]  # rank never writes its rows
+    assert rank([], 3) == 0
+    assert calls == []
