@@ -172,40 +172,56 @@ def _basel_float(n: int) -> float:
     return total
 
 
-def _h0_rational_part(n: int) -> Fraction:
-    """(4/3) * (1 + 1/4 + ... + 1/n^2) - h0_omega(n)."""
-    return Fraction(
-        12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n,
-        6 * (n + 1) ** 2 * (n + 2) ** 2,
-    )
+# Each cubic rate is sign * (4/3) * B(n) + num/den, B(n) = 1 + 1/4 + ... + 1/n^2,
+# written down once as (sign, num, den), den > 0 and not reduced.  The exact
+# value, the float shortcut and the growth test all read these terms.
+def _h0_terms(n: int) -> tuple[int, int, int]:
+    return 1, -(12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n), 6 * (n + 1) ** 2 * (n + 2) ** 2
 
 
-def _h1_rational_terms(n: int) -> tuple[int, int]:
-    """Numerator and positive denominator, not reduced, of _h1_rational_part(n)."""
-    return (
-        n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
-        6 * (n + 1) ** 2 * (n + 2) ** 2,
-    )
+def _h1_terms(n: int) -> tuple[int, int, int]:
+    return -1, n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n, 6 * (n + 1) ** 2 * (n + 2) ** 2
 
 
-def _h1_rational_part(n: int) -> Fraction:
-    """h1_omega(n) + (4/3) * (1 + 1/4 + ... + 1/n^2)."""
-    return Fraction(*_h1_rational_terms(n))
+def _rate(terms: tuple[int, int, int], basel: Fraction) -> Fraction:
+    """sign * (4/3) * basel + num/den, exactly."""
+    sign, num, den = terms
+    return sign * Fraction(4, 3) * basel + Fraction(num, den)
+
+
+def _rate_float(terms: tuple[int, int, int], basel: float) -> float:
+    """sign * (4/3) * basel + num/den in float, num/den correctly rounded."""
+    sign, num, den = terms
+    return sign * (4 / 3) * basel + num / den
+
+
+def _increasing_to(rate_terms, n_max: int) -> bool:
+    """rate(n) > rate(n - 1) for every n = 2..n_max, tested in integers.
+
+    With (sign, num, den) at n and (sign, num', den') at n - 1, the step is
+    sign * 4/(3n^2) + num/den - num'/den'; times 3n^2 den den' > 0 it is
+    positive iff 3n^2 (num den' - num' den) + 4 sign den den' > 0.  No Basel
+    sum is formed.
+    """
+    _, prev_num, prev_den = rate_terms(1)
+    for n in range(2, n_max + 1):
+        sign, num, den = rate_terms(n)
+        if 3 * n * n * (num * prev_den - prev_num * den) + 4 * sign * den * prev_den <= 0:
+            return False
+        prev_num, prev_den = num, den
+    return True
 
 
 def h0_omega(n: int) -> Fraction:
     """Cubic growth rate of the obstruction counts, in closed form."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return Fraction(4, 3) * _basel(n) - _h0_rational_part(n)
+    return _rate(_h0_terms(n), _basel(n))
 
 
 def h0_omega_float(n: int) -> float:
     """Float shortcut for limit checks only; the partial zeta sum dominates."""
-    return (4 / 3) * _basel_float(n) - float(_h0_rational_part(n))
-
-
-H0_OMEGA_LIMIT = "2*pi^2/9 - 2"
+    return _rate_float(_h0_terms(n), _basel_float(n))
 
 
 def h0_omega_limit_float() -> float:
@@ -215,29 +231,23 @@ def h0_omega_limit_float() -> float:
 
 
 def h0_omega_limit_report(n_max: int) -> dict:
-    """Monotonicity and boundedness of h0_omega up to n_max (float gap only)."""
+    """Monotonicity and boundedness of h0_omega up to n_max (float gap only).
+
+    Growth is exact up to exact_cap = min(n_max, 400); once every step passes,
+    h0_omega(exact_cap) is the largest value, and float() is monotone.
+    """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     limit = h0_omega_limit_float()
-    increasing = True
-    bounded = True
-    previous = None
     exact_cap = min(n_max, 400)
-    for n, basel in enumerate(_basel_sums(exact_cap), start=1):
-        value = Fraction(4, 3) * basel - _h0_rational_part(n)
-        if previous is not None and not value > previous:
-            increasing = False
-        if not float(value) < limit:
-            bounded = False
-        previous = value
-    gap = limit - h0_omega_float(n_max)
+    increasing = _increasing_to(_h0_terms, exact_cap)
     return {
         "n_max": n_max,
         "exact_monotonicity_checked_to": exact_cap,
         "strictly_increasing": increasing,
-        "bounded_by_limit": bounded,
+        "bounded_by_limit": increasing and float(h0_omega(exact_cap)) < limit,
         "limit_float": limit,
-        "gap_at_n_max_float": gap,
+        "gap_at_n_max_float": limit - h0_omega_float(n_max),
     }
 
 

@@ -10,12 +10,24 @@ inconclusive, never as "not big".
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .exactmath import parse_rational
 from .invariants import h1_omega
+
+# Config bounds.  Every entry's h1_omega(n) is computed exactly (about 40 ms at
+# n = 4000 on a 2-core x86 machine), and the printed total's denominator holds
+# lcm(1..n)^2, about 3500 digits at n = 4000, times those of c1sq and c2; the
+# largest admitted config stays well inside the 4300-digit int-to-str limit
+# and prints in about 0.6 s.
+N_LIMIT = 4000  # singularity index n
+COUNT_LIMIT = 10**6  # count of one entry
+ENTRIES_LIMIT = 16  # entries in "singularities"
+DIGITS_LIMIT = 100  # digits of p and of q in a rational p/q
+BYTES_LIMIT = 65536  # the file, read no further: the largest admitted config takes ~1.3 KB
+_RATIONAL = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (DIGITS_LIMIT, DIGITS_LIMIT))
 
 
 class ConfigError(ValueError):
@@ -30,16 +42,20 @@ class SurfaceConfig:
 
 
 def _as_fraction(value) -> Fraction:
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a rational, got {value!r}")
-    if isinstance(value, str):
+    """An integer, or a string [+-]p or [+-]p/q, with p and q of at most
+    DIGITS_LIMIT digits each; the length is checked before anything is parsed."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if -(10**DIGITS_LIMIT) < value < 10**DIGITS_LIMIT:
+            return Fraction(value)
+    elif isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
-            return parse_rational(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"expected a rational as 'p/q', got {value!r}") from exc
-    if isinstance(value, int):
-        return Fraction(value)
-    raise ConfigError(f"expected a rational as 'p/q' or integer, got {value!r}")
+            return Fraction(value)
+        except ZeroDivisionError as exc:
+            raise ConfigError(f"zero denominator in {value!r}") from exc
+    raise ConfigError(
+        f"expected an integer or a string 'p' or 'p/q' of at most {DIGITS_LIMIT} digits each,"
+        f" got {value!r}"
+    )
 
 
 def config_from_dict(data: dict) -> SurfaceConfig:
@@ -66,8 +82,13 @@ def config_from_dict(data: dict) -> SurfaceConfig:
     else:
         s2 = _as_fraction(data["s2"])
 
+    entries = data.get("singularities", [])
+    if not isinstance(entries, list):
+        raise ConfigError("singularities must be a list")
+    if len(entries) > ENTRIES_LIMIT:
+        raise ConfigError(f"at most {ENTRIES_LIMIT} singularity entries")
     singularities = []
-    for entry in data.get("singularities", []):
+    for entry in entries:
         if not isinstance(entry, dict):
             raise ConfigError(f"singularity entries must be objects, got {entry!r}")
         kind = entry.get("type", "A")
@@ -76,22 +97,27 @@ def config_from_dict(data: dict) -> SurfaceConfig:
         n = entry.get("n")
         count = entry.get("count")
         # bool is a subclass of int: reject it, or true would read as 1
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ConfigError(f"singularity index n must be an integer >= 1, got {n!r}")
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise ConfigError(f"count must be a positive integer, got {count!r}")
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= N_LIMIT:
+            raise ConfigError(f"singularity index n must be an integer in 1..{N_LIMIT}, got {n!r}")
+        if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= COUNT_LIMIT:
+            raise ConfigError(f"count must be an integer in 1..{COUNT_LIMIT}, got {count!r}")
         singularities.append((n, count))
     return SurfaceConfig(name=name, s2=s2, singularities=tuple(singularities))
 
 
 def load_config(path: str | Path) -> SurfaceConfig:
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        with open(path, "rb") as handle:
+            raw = handle.read(BYTES_LIMIT + 1)
+        if len(raw) > BYTES_LIMIT:
+            raise ConfigError(f"config file {path} is larger than {BYTES_LIMIT} bytes")
+        text = raw.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"unreadable config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers an integer past the int-to-str digit limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

@@ -54,8 +54,7 @@ def _require(condition: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_row(task: tuple[int, int]) -> dict:
-    n, m = task
+def _sweep_row(n: int, m: int) -> dict:
     rec = invariants.invariant_record(n, m)
     return {
         "m": m,
@@ -162,7 +161,7 @@ def sweep(
     rows = {m: cached[m] for m in wanted if m in cached}
     missing = [m for m in wanted if m not in rows]
     if missing:
-        computed = [_sweep_row((n, m)) for m in missing]
+        computed = [_sweep_row(n, m) for m in missing]
         for row in computed:
             rows[row["m"]] = row
         if cache_path:

@@ -20,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .asymptotics import _basel, _basel_float, _basel_sums, _h1_rational_part, _h1_rational_terms
+from .asymptotics import _basel, _basel_float, _basel_sums, _h1_terms, _increasing_to, _rate, _rate_float
 from .latticesum import hsum
 
 
@@ -95,16 +95,16 @@ def h1(n: int, m: int) -> Fraction:
 def h1_omega(n: int) -> Fraction:
     """Cubic growth rate of h1(n, m), in closed form.
 
-    The rational part and the Basel partial sum are the ones ``h0_omega``
-    uses, kept once in ``asymptotics``.
+    Its terms and the Basel partial sum are kept once in ``asymptotics``,
+    beside those of ``h0_omega``.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return _h1_rational_part(n) - Fraction(4, 3) * _basel(n)
+    return _rate(_h1_terms(n), _basel(n))
 
 
 def h1_omega_float(n: int) -> float:
-    return float(_h1_rational_part(n)) - (4 / 3) * _basel_float(n)
+    return _rate_float(_h1_terms(n), _basel_float(n))
 
 
 def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
@@ -112,33 +112,20 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
 
     The closed formula grows like n/6, so h1_omega eventually exceeds any
     threshold; the report records where the given one is first passed and
-    samples 6*h1_omega(n)/n at large n in float.
-
-    h1_omega(n) - h1_omega(n-1) is the step of the rational part minus
-    4/(3n^2), so growth is tested step by step, in integers: with the rational
-    part a/d at n and a'/d' at n - 1 (d, d' > 0), the step exceeds 4/(3n^2)
-    iff 3n^2 (a d' - a' d) > 4 d d'.  The Basel partial sum, whose
-    denominators grow like lcm(1..n)^2, is carried only until the threshold
-    is passed.
+    samples 6*h1_omega(n)/n at large n in float.  Growth is tested in
+    integers, step by step; the exact Basel partial sum, whose denominators
+    grow like lcm(1..n)^2, is carried only until the threshold is passed.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
-    increasing = True
     first_exceeds = None
-    basel_sums = _basel_sums(n_max)
-    previous = None
-    for n in range(1, n_max + 1):
-        num, den = _h1_rational_terms(n)
-        if previous is not None:
-            prev_num, prev_den = previous
-            if not 3 * n * n * (num * prev_den - prev_num * den) > 4 * den * prev_den:
-                increasing = False
-        if first_exceeds is None and Fraction(num, den) - Fraction(4, 3) * next(basel_sums) > threshold:
+    for n, basel in enumerate(_basel_sums(n_max), start=1):
+        if _rate(_h1_terms(n), basel) > threshold:
             first_exceeds = n
-        previous = num, den
+            break
     return {
         "n_max": n_max,
-        "strictly_increasing": increasing,
+        "strictly_increasing": _increasing_to(_h1_terms, n_max),
         "threshold": Fraction(threshold),
         "first_n_exceeding_threshold": first_exceeds,
         "leading_ratio_samples": [

@@ -5,9 +5,9 @@ block is a gap between two spaces of degree-m binary forms cut out by
 point-vanishing conditions.  One primitive measures both:
 ``forms_dim(conditions, m)`` is the dimension of the forms that vanish to
 each given order at each given point, (m+1) minus the exact rank of the
-stacked derivative rows (``vanishing_rows``).  Chart r contributes order
-codim_reg(t, r) at the point [r+1 : r-n] of the projective line; the points
-for r = -1..n are pairwise distinct.  The regular part of the block is cut
+stacked derivative rows of the points (``_derivative_table``).  Chart r
+contributes order codim_reg(t, r) at the point [r+1 : r-n] of the projective
+line; the points for r = -1..n are pairwise distinct.  The regular part of the block is cut
 out by the two boundary charts r in {-1, n}, of rank rank_ends, and the
 unobstructed part by all n + 2 charts, so
 
@@ -57,23 +57,6 @@ from .monoblocks import TripleIndex, admissible_triples, chart_codims, codim_reg
 _PRIME = 2**30 - 35
 
 
-def vanishing_rows(point: tuple[int, int], order: int, m: int) -> list[list[int]]:
-    """Linear conditions on the m+1 coefficients of P = sum p_l X^(m-l) Y^l
-    for vanishing to the given order at the point [a : b] of the line.
-
-    Row t is the t-th derivative of P along a fixed direction transversal to
-    [a : b], evaluated at (a, b), for t = 0..order-1; rows past t = m are
-    zero.  Any row set with the same row space is acceptable; only the rank
-    matters.  The rows are fresh lists, so callers may mutate them.
-    """
-    if order < 1:
-        raise ValueError("need order >= 1")
-    table = _derivative_table(point, m)
-    rows = [list(row) for row in table[:order]]
-    rows.extend([0] * (m + 1) for _ in range(order - len(table)))
-    return rows
-
-
 def forms_dim(conditions: list[tuple[tuple[int, int], int]], m: int) -> int:
     """Dimension of the degree-m binary forms that vanish to each order at
     its point, for conditions ((a, b), order); order 0 imposes nothing.
@@ -90,7 +73,13 @@ def forms_dim(conditions: list[tuple[tuple[int, int], int]], m: int) -> int:
 
 @functools.lru_cache(maxsize=256)
 def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], ...]:
-    """All m+1 derivative rows t = 0..m of the point [a : b] in degree m."""
+    """All m+1 derivative rows t = 0..m of the point [a : b] in degree m.
+
+    Row t is the t-th derivative of P = sum p_l X^(m-l) Y^l along a fixed
+    direction transversal to [a : b], evaluated at (a, b), as a linear form in
+    the m+1 coefficients; the first `order` rows are the conditions for
+    vanishing to that order.  Rows past t = m would be zero.
+    """
     if point == (0, 0):
         raise ValueError("degenerate point (0, 0)")
     a, b = point

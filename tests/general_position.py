@@ -5,7 +5,8 @@ most m zeros counted with multiplicity, so vanishing conditions at distinct
 points of the line are independent up to m+1: the forms vanishing to orders
 c_j at distinct points have dimension max(0, m + 1 - sum c_j).  Every system
 ``oracle.hsum_oracle_triple`` stacks is of this kind; a block where
-``forms_dim`` disagrees means a defect in ``vanishing_rows`` or ``rank``.
+``forms_dim`` disagrees means a defect in ``oracle._derivative_table`` or
+``rank``.
 """
 
 from __future__ import annotations

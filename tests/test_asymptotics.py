@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
+import random
+
 import pytest
 
+from ansing import asymptotics
 from ansing.asymptotics import (
     AffineWeight,
     PolygonPiece,
@@ -15,6 +18,7 @@ from ansing.asymptotics import (
     integrate_piece,
     pieces,
     upper_integral,
+    _increasing_to,
 )
 from ansing.latticesum import hsum
 from ansing.quasifit import _interpolate
@@ -210,6 +214,84 @@ def test_h0_omega_limit_report():
     assert report["strictly_increasing"]
     assert report["bounded_by_limit"]
     assert report["gap_at_n_max_float"] > 0
+
+
+def _h0_reports_by_fraction_values(n_top, limit):
+    """Every h0_omega_limit_report for n_max = 2..n_top, as the per-n Fraction
+    loop gives it: each exact h0_omega value up to min(n_max, 400), built from
+    the published polynomial restated here, is compared with the one before
+    it and, in float, with the limit.  The verdicts depend only on n <= n_max,
+    so one pass yields every report."""
+    reports = {}
+    increasing = bounded = True
+    basel = F(0)
+    previous = None
+    for n in range(1, n_top + 1):
+        if n <= 400:
+            basel += F(1, n * n)
+            value = F(4, 3) * basel - F(
+                12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n,
+                6 * (n + 1) ** 2 * (n + 2) ** 2,
+            )
+            if previous is not None and not value > previous:
+                increasing = False
+            if not float(value) < limit:
+                bounded = False
+            previous = value
+        reports[n] = {
+            "n_max": n,
+            "exact_monotonicity_checked_to": min(n, 400),
+            "strictly_increasing": increasing,
+            "bounded_by_limit": bounded,
+            "limit_float": limit,
+            "gap_at_n_max_float": limit - h0_omega_float(n),
+        }
+    return reports
+
+
+def test_h0_omega_limit_report_matches_fraction_values():
+    expected = _h0_reports_by_fraction_values(460, h0_omega_limit_float())
+    for n_max in range(2, 461):
+        assert h0_omega_limit_report(n_max) == expected[n_max]
+
+
+@pytest.mark.parametrize("k", [2, 3, 57, 399, 400])
+def test_h0_omega_limit_report_bound_at_a_moved_limit(monkeypatch, k):
+    # with the limit at float(h0_omega(k)) the bound fails from n_max = k on,
+    # and past n_max = 400 the verdict is the one at 400
+    limit = float(h0_omega(k))
+    monkeypatch.setattr(asymptotics, "h0_omega_limit_float", lambda: limit)
+    expected = _h0_reports_by_fraction_values(max(k, 400) + 2, limit)
+    for n_max in sorted({2, *range(max(2, k - 2), k + 3), 401, 402}):
+        report = h0_omega_limit_report(n_max)
+        assert report == expected[n_max]
+        assert report["bounded_by_limit"] == (min(n_max, 400) < k)
+
+
+def _rate_by_fraction(terms, n):
+    sign, num, den = terms(n)
+    return sign * F(4, 3) * sum(F(1, j * j) for j in range(1, n + 1)) + F(num, den)
+
+
+def test_integer_growth_step_matches_fraction_values():
+    # rates with both signs of the Basel term, rising and falling rational
+    # parts, and steps that change sign within the range
+    rng = random.Random(17)
+    for _ in range(300):
+        sign = rng.choice((1, -1))
+        a, b, c = rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-3, 3)
+        d, e = rng.randint(1, 4), rng.randint(0, 4)
+        terms = lambda n: (sign, a * n * n + b * n + c, d * n * n + e)  # noqa: E731
+        values = [_rate_by_fraction(terms, n) for n in range(1, 13)]
+        for n_max in range(2, 13):
+            rising = all(y > x for x, y in zip(values[: n_max - 1], values[1:n_max]))
+            assert _increasing_to(terms, n_max) == rising
+    # the Basel term alone rises with sign +1 and falls with sign -1
+    assert _increasing_to(lambda n: (1, 0, 1), 50)
+    assert not _increasing_to(lambda n: (-1, 0, 1), 2)
+    # rate(2) == rate(1) == 1 here: an equal step is not a rise
+    assert _rate_by_fraction(lambda n: (1, -n, 3), 2) == _rate_by_fraction(lambda n: (1, -n, 3), 1)
+    assert not _increasing_to(lambda n: (1, -n, 3), 2)
 
 
 def test_integral_cubic_fit_leading_coefficient():

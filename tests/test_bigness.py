@@ -5,6 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from ansing.bigness import (
+    BYTES_LIMIT,
+    COUNT_LIMIT,
+    DIGITS_LIMIT,
+    ENTRIES_LIMIT,
+    N_LIMIT,
     ConfigError,
     SurfaceConfig,
     VERDICT_BIG,
@@ -117,3 +122,85 @@ def test_load_config_roundtrip(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(bad)
+
+
+def _with_entry(n=1, count=1, entries=1, s2="-1"):
+    return {"s2": s2, "singularities": [{"n": n, "count": count}] * entries}
+
+
+@pytest.mark.parametrize(
+    "field, at_bound, past_bound",
+    [
+        ("n", _with_entry(n=N_LIMIT), _with_entry(n=N_LIMIT + 1)),
+        ("count", _with_entry(count=COUNT_LIMIT), _with_entry(count=COUNT_LIMIT + 1)),
+        ("entries", _with_entry(entries=ENTRIES_LIMIT), _with_entry(entries=ENTRIES_LIMIT + 1)),
+        ("p digits", _with_entry(s2="-" + "9" * DIGITS_LIMIT), _with_entry(s2="-1" + "0" * DIGITS_LIMIT)),
+        ("q digits", _with_entry(s2="1/" + "9" * DIGITS_LIMIT), _with_entry(s2="1/1" + "0" * DIGITS_LIMIT)),
+        ("int", _with_entry(s2=10**DIGITS_LIMIT - 1), _with_entry(s2=10**DIGITS_LIMIT)),
+        ("negative int", _with_entry(s2=1 - 10**DIGITS_LIMIT), _with_entry(s2=-(10**DIGITS_LIMIT))),
+    ],
+)
+def test_bounds_admit_their_value_and_reject_the_next(field, at_bound, past_bound):
+    config_from_dict(at_bound)
+    with pytest.raises(ConfigError):
+        config_from_dict(past_bound)
+
+
+def test_c1sq_and_c2_have_the_digit_bound_too():
+    ok = "9" * DIGITS_LIMIT + "/" + "7" * DIGITS_LIMIT
+    assert config_from_dict({"c1sq": ok, "c2": ok}).s2 == 0
+    for key in ("c1sq", "c2"):
+        with pytest.raises(ConfigError):
+            config_from_dict({"c1sq": ok, "c2": ok, key: "1" * (DIGITS_LIMIT + 1)})
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", "1e3", "1e10000000000", "1_000", " 1/2", "1/2 ", "+-1", "1/-2", "١", "", "/", "1/", 1.5, None, [1]],
+)
+def test_only_integers_and_p_over_q_strings(value):
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": value})
+
+
+def test_signed_forms_are_rationals():
+    assert config_from_dict({"s2": "+12/8"}).s2 == F(3, 2)
+    assert config_from_dict({"s2": "-0"}).s2 == 0
+    assert config_from_dict({"s2": -7}).s2 == -7
+
+
+@pytest.mark.parametrize("singularities", [5, "abc", {"n": 1, "count": 1}, None])
+def test_singularities_must_be_a_list(singularities):
+    with pytest.raises(ConfigError):
+        config_from_dict({"s2": "1", "singularities": singularities})
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"s2": ' + "7" * 5000 + "}",  # past the int-to-str digit limit
+        "[" * 10_000,  # past the recursion limit
+    ],
+)
+def test_load_config_maps_json_value_errors(tmp_path, text):
+    path = tmp_path / "surface.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "surface.json"
+    path.write_bytes(b'\xff{"s2": "1"}')
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_reads_at_most_the_byte_bound(tmp_path):
+    text = json.dumps({"s2": "-4/5", "singularities": [{"n": 1, "count": 6}]})
+    path = tmp_path / "surface.json"
+    path.write_text(text + " " * (BYTES_LIMIT - len(text)))
+    assert load_config(path).s2 == F(-4, 5)
+    path.write_text(text + " " * (BYTES_LIMIT + 1 - len(text)))
+    with pytest.raises(ConfigError, match="larger than"):
+        load_config(path)

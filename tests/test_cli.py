@@ -147,6 +147,50 @@ def test_bigness_malformed_config_exits_2(capsys, tmp_path):
         assert "error" in json.loads(captured.err)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"s2": "1e5000", "singularities": []}),
+        json.dumps({"s2": "-1", "singularities": [{"n": 5000, "count": 1}]}),
+        '{"s2": ' + "9" * 5000 + ', "singularities": []}',
+        json.dumps({"s2": "1", "singularities": 5}),
+        "[" * 10_000,
+        json.dumps({"s2": "1", "name": "x" * cli.bigness.BYTES_LIMIT}),
+    ],
+    ids=["exponent", "n-5000", "int-5000-digits", "singularities-int", "deep-nesting", "too-large"],
+)
+def test_bigness_config_past_a_bound_exits_2_with_one_json_error(capsys, tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, captured = run_raw(capsys, ["bigness", "--config", str(cfg)])
+    assert code == 2
+    assert captured.out == ""
+    assert list(json.loads(captured.err)) == ["error"]
+
+
+def test_largest_admitted_bigness_config_prints(capsys, tmp_path):
+    # every bound at its value: the 16 largest n, each with the largest
+    # count, and c1sq, c2 with p and q of DIGITS_LIMIT digits
+    digits = cli.bigness.DIGITS_LIMIT
+    n_top = cli.bigness.N_LIMIT
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "c1sq": "9" * digits + "/1" + "0" * (digits - 2) + "1",
+                "c2": "-" + "9" * digits + "/1" + "0" * (digits - 2) + "3",
+                "singularities": [
+                    {"n": n, "count": cli.bigness.COUNT_LIMIT}
+                    for n in range(n_top - cli.bigness.ENTRIES_LIMIT + 1, n_top + 1)
+                ],
+            }
+        )
+    )
+    code, payload = run_json(capsys, ["bigness", "--config", str(cfg), "--no-timestamp"])
+    assert code == 0
+    assert payload["verdict"] == "big (criterion satisfied)"
+
+
 def test_limits_verb(capsys):
     code, payload = run_json(capsys, ["limits", "--n", "30", "--no-timestamp"])
     assert code == 0
@@ -246,7 +290,7 @@ def _old_writer_lines(n, m_to):
     """Each row's cache line as `json.dumps` of the whole record gives it."""
     lines = []
     for m in range(m_to + 1):
-        row = cli._sweep_row((n, m))
+        row = cli._sweep_row(n, m)
         canonical = json.dumps({"n": n, "row": row}, sort_keys=True, separators=(",", ":"))
         checksum = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         record = {"n": n, "row": row, "checksum": checksum}
@@ -275,8 +319,8 @@ def _cold_sweep(capsys, n, m_to):
 def test_cache_writer_keeps_record_layout(tmp_path):
     for n in (1, 3, 10):
         cache = tmp_path / f"rows-{n}.jsonl"
-        cli._append_cache(cache, n, [cli._sweep_row((n, m)) for m in range(6)])
-        cli._append_cache(cache, n, [cli._sweep_row((n, 6))])
+        cli._append_cache(cache, n, [cli._sweep_row(n, m) for m in range(6)])
+        cli._append_cache(cache, n, [cli._sweep_row(n, 6)])
         assert cache.read_bytes() == b"".join(_old_writer_lines(n, 6))
 
 

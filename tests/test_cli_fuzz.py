@@ -7,22 +7,27 @@ exit code is 0, 2 or 3, and every exit 2 prints nothing on stdout and one
 JSON object with an "error" key on stderr.  Inputs stay small enough that
 every accepted call is fast: n <= 12, m <= 20, oracle-verify m <= 8,
 limits --n <= 500; --parallel goes up to 64, since a sweep starts no
-process.  Files only ever go to a temporary directory.  Needs hypothesis
-(the ``test`` extra); the module is skipped without it.
+process.  A second property draws the bigness config file itself: the
+rationals in every accepted and rejected form, n and count at and past
+their bounds, and entry lists around their bound.  Files only ever go to a
+temporary directory.  Needs hypothesis (the ``test`` extra); the module is
+skipped without it.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ansing import cli  # noqa: E402
+from ansing import bigness, cli  # noqa: E402
 
 VERBS = [
     "hsum", "hsum-sweep", "oracle-verify", "omega", "mu", "chi-orb", "h1",
@@ -92,3 +97,69 @@ def test_cli_contract_holds_for_any_argv(argv):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())
         assert isinstance(error, dict) and list(error) == ["error"]
+
+
+def _json(values):
+    return st.sampled_from(values).map(json.dumps)
+
+
+def _mostly(admitted, rejected):
+    """Draws from `admitted` nine times in ten, so that many configs print."""
+    return st.integers(0, 9).flatmap(lambda k: rejected if k == 0 else admitted)
+
+
+DIGITS = bigness.DIGITS_LIMIT
+# each a JSON text: ints, p/q, decimal, exponent and over-long forms
+RATIONALS = _mostly(
+    st.integers(-99, 99).map(str)
+    | st.builds("\"{}/{}\"".format, st.integers(-60, 60), st.integers(1, 9))
+    | _json([10**DIGITS - 1, 1 - 10**DIGITS, "9" * DIGITS, "-1/" + "9" * DIGITS]),
+    _json([10**DIGITS, -(10**DIGITS), "1" * (DIGITS + 1), "1/" + "7" * (DIGITS + 1), "1/0"])
+    | _json(["0.5", "-1.25", "1e3", "1e5000", "2E-7", "1e10000000000", "abc", "", " 3", True, None, 1.5])
+    | st.just("9" * 5000),  # an integer past the int-to-str digit limit
+)
+INDICES = _mostly(
+    st.integers(1, 12).map(str) | _json([bigness.N_LIMIT]),
+    _json([0, -1, bigness.N_LIMIT + 1, 5000, True, False, "3", 2.0, None]),
+)
+COUNTS = _mostly(
+    st.integers(1, 20).map(str) | _json([bigness.COUNT_LIMIT]),
+    _json([0, -5, bigness.COUNT_LIMIT + 1, True, "2", 1.0]),
+)
+CHERN_KEYS = _mostly(
+    st.sampled_from([("s2",), ("c1sq", "c2")]),
+    st.sampled_from([("s2", "c1sq", "c2"), ("c1sq",), ()]),
+)
+SIZES = _mostly(
+    st.integers(0, 3) | st.just(bigness.ENTRIES_LIMIT),
+    st.just(bigness.ENTRIES_LIMIT + 1),
+)
+
+
+@st.composite
+def config_texts(draw) -> str:
+    fields = [f'"{key}": {draw(RATIONALS)}' for key in draw(CHERN_KEYS)]
+    entries = [f'{{"n": {draw(INDICES)}, "count": {draw(COUNTS)}}}' for _ in range(draw(SIZES))]
+    fields.append(f'"singularities": [{", ".join(entries)}]')
+    return "{" + ", ".join(fields) + "}"
+
+
+# the real rate, computed once per n: admitted n at the bound stay cheap
+_h1_omega_once = functools.cache(bigness.h1_omega)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(text=config_texts())
+def test_cli_contract_holds_for_any_bigness_config(text):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(bigness, "h1_omega", _h1_omega_once):
+        path = Path(tmp) / "surface.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(["bigness", "--config", str(path), "--no-timestamp"])
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out.getvalue())["verdict"] and err.getvalue() == ""
+    else:
+        assert out.getvalue() == ""
+        assert list(json.loads(err.getvalue())) == ["error"]

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from ansing import cli
-from ansing.asymptotics import _h1_rational_part, h0_omega
+from ansing.asymptotics import h0_omega
 from ansing.exactmath import CycloElement, cyclotomic_polynomial
 from ansing.invariants import (
     MU_CACHE_SIZE,
@@ -162,6 +162,15 @@ def test_h1_omega_limit_report():
     assert h1_omega_limit_report(120)["leading_ratio_samples"][0]["ratio"] == ratios[1000]
 
 
+def _h1_rational_part(n):
+    """h1_omega(n) + (4/3)(1 + 1/4 + ... + 1/n^2): the published polynomial,
+    restated here rather than read from the package."""
+    return F(
+        n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
+        6 * (n + 1) ** 2 * (n + 2) ** 2,
+    )
+
+
 def _limit_report_by_accumulation(n_max, threshold):
     """The report's two verdicts from exact h1_omega values, one by one."""
     increasing = True
@@ -170,10 +179,7 @@ def _limit_report_by_accumulation(n_max, threshold):
     previous = None
     for n in range(1, n_max + 1):
         basel += F(1, n * n)
-        value = F(
-            n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n,
-            6 * (n + 1) ** 2 * (n + 2) ** 2,
-        ) - F(4, 3) * basel
+        value = _h1_rational_part(n) - F(4, 3) * basel
         if previous is not None and not value > previous:
             increasing = False
         if first_exceeds is None and value > threshold:

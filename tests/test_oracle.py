@@ -12,8 +12,8 @@ from ansing.oracle import (
     forms_dim,
     hsum_oracle,
     hsum_oracle_triple,
+    _derivative_table,
     rank,
-    vanishing_rows,
 )
 from general_position import chart_conditions, general_position_check, hermite_dim
 from lattice_oracle import hsum_triple
@@ -41,8 +41,13 @@ def _rank_fraction_elimination(rows, ncols):
     return rank_count
 
 
+def _condition_rows(point, order, m):
+    """The rows ``forms_dim`` stacks for vanishing to the order at the point."""
+    return [list(row) for row in _derivative_table(point, m)[:order]]
+
+
 def test_vanishing_rows_coordinate_point():
-    rows = vanishing_rows((0, 1), 1, 2)
+    rows = _condition_rows((0, 1), 1, 2)
     # single row selecting the coefficient of Y^2
     assert len(rows) == 1
     assert rows[0][0] == rows[0][1] == 0
@@ -50,12 +55,12 @@ def test_vanishing_rows_coordinate_point():
 
 
 def test_vanishing_rows_diagonal_point():
-    rows = vanishing_rows((1, 1), 1, 1)
+    rows = _condition_rows((1, 1), 1, 1)
     assert rows == [[1, 1]]
 
 
 def test_vanishing_rows_double_point_rank_two():
-    rows = vanishing_rows((1, 1), 2, 2)
+    rows = _condition_rows((1, 1), 2, 2)
     assert rank(rows, 3) == 2
     # the stated row space: P(1,1) = 0 and its X-derivative
     reference = [[1, 1, 1], [2, 1, 0]]
@@ -83,20 +88,13 @@ def test_vanishing_rows_match_direct_construction():
     for n in range(1, 5):
         for r in range(-1, n + 1):
             for m in range(0, 11):
+                point = (r + 1, r - n)
+                assert len(_derivative_table(point, m)) == m + 1
                 for order in range(1, m + 2):
-                    point = (r + 1, r - n)
-                    assert vanishing_rows(point, order, m) == _vanishing_rows_direct(point, order, m)
-    # past t = m every derivative of a degree-m form vanishes
-    assert vanishing_rows((2, -1), 5, 2) == _vanishing_rows_direct((2, -1), 5, 2)
-
-
-def test_vanishing_rows_are_fresh_lists():
-    first = vanishing_rows((3, -2), 3, 6)
-    expected = [list(row) for row in first]
-    first[0][0] = 999
-    first[1].append(7)
-    first.append([1] * 7)
-    assert vanishing_rows((3, -2), 3, 6) == expected
+                    assert _condition_rows(point, order, m) == _vanishing_rows_direct(point, order, m)
+    # past t = m every derivative of a degree-m form vanishes, so the table
+    # stops at t = m and an order past m + 1 adds only zero rows
+    assert _vanishing_rows_direct((2, -1), 5, 2)[3:] == [[0, 0, 0]] * 2
 
 
 def _support(row):
@@ -108,8 +106,8 @@ def test_boundary_rows_are_singletons():
     # [n+1 : 0], so rank_ends is a count of columns
     for n in range(1, 9):
         for m in range(0, 21):
-            low = vanishing_rows((0, -n - 1), m + 1, m)
-            high = vanishing_rows((n + 1, 0), m + 1, m)
+            low = _derivative_table((0, -n - 1), m)
+            high = _derivative_table((n + 1, 0), m)
             for t in range(m + 1):
                 assert _support(low[t]) == [m - t]
                 assert _support(high[t]) == [t]
@@ -212,9 +210,7 @@ def test_oracle_systems_are_certified_mod_p(monkeypatch):
 
 def test_degenerate_point_rejected():
     with pytest.raises(ValueError):
-        vanishing_rows((0, 0), 1, 3)
-    with pytest.raises(ValueError):
-        vanishing_rows((1, 0), 0, 3)
+        _derivative_table((0, 0), 3)
 
 
 def test_rank_matches_fraction_elimination_on_random_matrices():
