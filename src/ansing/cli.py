@@ -187,9 +187,10 @@ def __getattr__(name: str):
 # Input bounds.  Each is sized so that the slowest call it admits takes
 # about 1.6 s or less on a 2-core x86 machine under Python 3.11: h1 at
 # --n 1000000 --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4
-# --degree 20 --max-period 40 --m-to 1500, oracle-verify --n 16 --m 30,
-# integral-check --n 1000 --m 1000000, divisor --n 1000000 --m 1000000,
-# polygon --n 10000 --m 1000000, limits --n 100000.
+# --degree 20 --max-period 40 --m-to 1500, integral-check --n 1000
+# --m 1000000, divisor --n 1000000 --m 1000000, polygon --n 10000
+# --m 1000000, limits --n 100000.  oracle-verify --n 16 --m 30 takes about
+# 0.5 s in a fresh process, 0.36 s of it in the oracle's modular ranks.
 M_LIMIT = 1_000_000  # --m of every verb that takes one, except oracle-verify
 N_LIMIT = 1_000_000  # --n of every verb without its own bound below: mu's cost grows with it
 M_TO_LIMIT = 1500  # --m-to of fit and hsum-sweep: hsum at every m up to it

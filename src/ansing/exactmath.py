@@ -16,13 +16,28 @@ between threads or processes.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Fraction(text.strip())
+    """Parse "p/q" or "p", as ``format_rational`` writes them, into an exact
+    rational; a leading sign is allowed.
+
+    Anything else raises ValueError before a number is built: decimal and
+    exponent forms, which ``Fraction`` would take (and "1e3000000" would have
+    it build a 3-million-digit integer), whitespace, and a zero denominator.
+    """
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational 'p' or 'p/q': {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
 
 
 def format_rational(value: Fraction | int) -> str:

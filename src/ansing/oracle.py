@@ -2,43 +2,53 @@
 
 Independently of the closed weight formula, the obstruction dimension of a
 block is a gap between two spaces of degree-m binary forms cut out by
-point-vanishing conditions.  One primitive measures both:
-``forms_dim(conditions, m)`` is the dimension of the forms that vanish to
-each given order at each given point, (m+1) minus the exact rank of the
-stacked derivative rows of the points (``_derivative_table``).  Chart r
-contributes order codim_reg(t, r) at the point [r+1 : r-n] of the projective
-line; the points for r = -1..n are pairwise distinct.  The regular part of the block is cut
-out by the two boundary charts r in {-1, n}, of rank rank_ends, and the
-unobstructed part by all n + 2 charts, so
+point-vanishing conditions.  ``forms_dim(conditions, m)`` is the dimension
+of the forms that vanish to each given order at each given point, (m+1)
+minus the exact rank of the stacked derivative rows of the points
+(``_derivative_table``).  Chart r contributes order codim_reg(t, r) at the
+point [r+1 : r-n] of the projective line; the points for r = -1..n are
+pairwise distinct.  The regular part of the block is cut out by the two
+boundary charts r in {-1, n}, of rank rank_ends, and the unobstructed part
+by all n + 2 charts, so
 
     oracle dimension = (m+1) - rank_ends - forms_dim(all charts, m).
 
 rank_ends takes no elimination.  At [0 : -n-1] the t-th derivative row has
 one nonzero entry, in column m - t, and at [n+1 : 0] one, in column t; rows
 past t = m are zero.  Singleton rows span the coordinate subspace of their
-columns, so rank_ends is the number of distinct columns they hit.  On an
-admissible block the two column sets do not even meet: with
+columns, so rank_ends is the number of distinct columns they hit: the first
+c_-1 = codim_reg(t, -1) rows at [0 : -n-1] hit the columns from m+1-c_-1 up,
+and the first c_n rows at [n+1 : 0] the columns below c_n.
+
+The same singleton rows settle most of the other side.  The rank of all
+charts is rank_ends plus the rank of the interior rows (charts r = 0..n-1)
+with the boundary columns deleted, so the two rank_ends cancel and
+
+    oracle dimension = rank of the interior rows on the window [c_n, m+1-c_-1),
+
+the columns the boundary rows leave (structured Gaussian elimination: the
+singleton rows are removed once, and only the remainder is eliminated).  On
+an admissible block the window is never empty: with
 c_r = codim_reg(t, r) = max(0, -i1(r)), i1(-1) + i1(n) = i - m, and
 admissibility, (n+1)|khat| <= i + m, gives i1(r) >= -m at both ends.  So
 c_-1 + c_n <= m (both positive: the sum is m - i; else one is 0 and the
-other at most m), and {m-c_-1+1, .., m} and {0, .., c_n-1} are disjoint;
-counting rows would give the same number.  Each nonzero block therefore
-costs one rank computation, of the stacked system.
+other at most m).  Orders whose boundary columns cover all m + 1 leave an
+empty window and dimension 0.  The window is only right if every boundary
+row sits in its column, so each call checks the rows of both boundary tables
+once, before any system is ranked, and raises ArithmeticError otherwise.
 
 Within one (n, m) the points and m are the same for every block, so a
 block's dimension is fixed by its tuple of n + 2 chart orders
-(``monoblocks.chart_codims``).  ``hsum_oracle`` ranks each distinct tuple
-once, keeping the dimensions in a dict local to the call, and checks the rows
-of the two boundary tables once per call rather than once per block.  No
-system is skipped on the strength of an argument: every distinct one is
-ranked.
+(``monoblocks.chart_codims``).  ``hsum_oracle`` ranks each distinct nonzero
+tuple once, keeping the dimensions in a dict local to the call.  No system is
+skipped on the strength of an argument: every distinct one is ranked.
 
 Ranks are computed, never assumed, and are exact over Q: ``rank`` takes the
-singleton rows as pivots over Z (in the stacked system, the boundary rows)
-and certifies the rank of the remainder mod p, with a Bareiss fallback.  By
-Hermite interpolation on P^1 every system the oracle stacks has full rank,
-so on its own matrices the certificate holds unless p divides a maximal
-minor.
+singleton rows as pivots over Z and certifies the rank of the remainder mod
+p, with a Bareiss fallback.  By Hermite interpolation on P^1 every system of
+distinct points has full rank, and so has what is left of it once the
+singleton columns are deleted: on the oracle's windows the certificate holds
+unless p divides a maximal minor.
 """
 
 from __future__ import annotations
@@ -79,31 +89,33 @@ def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], 
     direction transversal to [a : b], evaluated at (a, b), as a linear form in
     the m+1 coefficients; the first `order` rows are the conditions for
     vanishing to that order.  Rows past t = m would be zero.
+
+    With b != 0 the direction is (1, 0), and entry l of row t is
+    e(e-1)..(e-t+1) a^(e-t) b^l with e = m - l, zero for t > e.  At [1 : 0]
+    the direction is (0, 1), which gives the same rows with a and b swapped
+    and the columns reversed.  The falling factorials are carried from row
+    to row, so the table takes O(m^2) multiplications.
     """
     if point == (0, 0):
         raise ValueError("degenerate point (0, 0)")
     a, b = point
+    mirrored = b == 0
+    if mirrored:
+        a, b = b, a
+    a_powers, b_powers = [1], [1]
+    for _ in range(m):
+        a_powers.append(a_powers[-1] * a)
+        b_powers.append(b_powers[-1] * b)
+    falling = [1] * (m + 1)  # falling[e] = e(e-1)..(e-t+1) for the current t
     table = []
     for t in range(m + 1):
         row = [0] * (m + 1)
-        for l in range(m + 1):
-            if b != 0:
-                # direction (1, 0): d^t/dX^t of X^(m-l) Y^l at (a, b)
-                e = m - l
-                if t > e:
-                    continue
-                falling = 1
-                for s in range(t):
-                    falling *= e - s
-                row[l] = falling * a ** (e - t) * b**l
-            else:
-                # point [1 : 0]; use direction (0, 1) instead
-                if t > l:
-                    continue
-                falling = 1
-                for s in range(t):
-                    falling *= l - s
-                row[l] = falling * a ** (m - l) * b ** (l - t)
+        for l in range(m + 1 - t):
+            e = m - l
+            row[l] = falling[e] * a_powers[e - t] * b_powers[l]
+            falling[e] *= e - t
+        if mirrored:
+            row.reverse()
         table.append(tuple(row))
     return tuple(table)
 
@@ -135,16 +147,19 @@ def rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
             pivots.add(next(compress(range(ncols), row)))
         elif zeros < ncols:
             dense.append(row)
-    keep = [col not in pivots for col in range(ncols)]
+    if pivots:
+        keep = [col not in pivots for col in range(ncols)]
+        matrix = [kept for kept in (list(compress(row, keep)) for row in dense) if any(kept)]
+    else:
+        matrix = dense
     left = ncols - len(pivots)
-    matrix = [kept for kept in (list(compress(row, keep)) for row in dense) if any(kept)]
     bound = min(len(matrix), left)
     if _rank_mod_p(matrix, left) == bound:
         return len(pivots) + bound
     return len(pivots) + _rank_bareiss(matrix, left)
 
 
-def _rank_mod_p(matrix: list[list[int]], ncols: int) -> int:
+def _rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
     """Rank over F_p of the integer matrix reduced mod p."""
     p = _PRIME
     reduced = [[x % p for x in row] for row in matrix]
@@ -172,7 +187,7 @@ def _rank_mod_p(matrix: list[list[int]], ncols: int) -> int:
     return found
 
 
-def _rank_bareiss(matrix: list[list[int]], ncols: int) -> int:
+def _rank_bareiss(matrix: Sequence[Sequence[int]], ncols: int) -> int:
     """Rank by fraction-free Gaussian elimination (Bareiss) over Z.
 
     Entries stay integral: every intermediate entry is a minor of the input
@@ -217,48 +232,49 @@ def _chart_points(n: int) -> list[tuple[int, int]]:
     return [(r + 1, r - n) for r in range(-1, n + 1)]
 
 
-def _boundary_columns(n: int, m: int) -> tuple[list[int], list[int]]:
-    """Column of each derivative row t = 0..m at [0 : -n-1] and at [n+1 : 0].
+def _check_boundary_columns(n: int, m: int) -> None:
+    """Check that derivative row t = 0..m has one nonzero entry, in column
+    m - t at [0 : -n-1] and in column t at [n+1 : 0].
 
-    Every row of both tables is checked to have exactly one nonzero entry; a
-    row that does not raises ArithmeticError, since rank_ends is then no
-    column count.
+    A row that does not raises ArithmeticError: rank_ends is then no column
+    count, and the window of ``_system_dim`` holds the wrong columns.
     """
-    ends = []
-    for point in ((0, -n - 1), (n + 1, 0)):
-        columns = []
-        for row in _derivative_table(point, m):
-            if row.count(0) != m:
-                raise ArithmeticError(f"boundary row at {point} is not a singleton: {row}")
-            columns.append(next(compress(range(m + 1), row)))
-        ends.append(columns)
-    return ends[0], ends[1]
+    low = _derivative_table((0, -n - 1), m)
+    high = _derivative_table((n + 1, 0), m)
+    for t in range(m + 1):
+        for point, row, column in (((0, -n - 1), low[t], m - t), ((n + 1, 0), high[t], t)):
+            if row.count(0) != m or not row[column]:
+                raise ArithmeticError(f"boundary row {t} at {point} is not a singleton in column {column}: {row}")
 
 
-def _system_dim(
-    points: list[tuple[int, int]],
-    orders: tuple[int, ...],
-    m: int,
-    ends: tuple[list[int], list[int]],
-) -> int:
+def _system_dim(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ...], m: int) -> int:
     """(m+1) - rank_ends - forms_dim of the charts with the given orders.
 
-    rank_ends counts the distinct columns of the first orders[0] rows at
-    [0 : -n-1] and orders[-1] rows at [n+1 : 0]; rows past t = m are zero.
+    That is the rank of the interior charts' rows, whose derivative tables
+    are given, on the window of columns [orders[-1], m+1-orders[0]) that the
+    boundary rows leave; the boundary rows must have been checked
+    (``_check_boundary_columns``).  Rows past t = m are zero.
     """
     if not any(orders):
         return 0
-    low, high = ends
-    rank_ends = len(set(low[: orders[0]]).union(high[: orders[-1]]))
-    return m + 1 - rank_ends - forms_dim(list(zip(points, orders)), m)
+    low = orders[-1]
+    high = max(low, m + 1 - orders[0])
+    rows = [row[low:high] for table, order in zip(tables, orders[1:-1]) for row in table[:order]]
+    return rank(rows, high - low)
+
+
+def _interior_tables(n: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Check the boundary rows, then the derivative tables of charts 0..n-1."""
+    _check_boundary_columns(n, m)
+    return [_derivative_table(point, m) for point in _chart_points(n)[1:-1]]
 
 
 def hsum_oracle_triple(t: TripleIndex) -> int:
     """Obstruction dimension of one block: (m+1) - rank_ends - forms_dim of
-    all n + 2 charts, with rank_ends counted off the boundary columns."""
+    all n + 2 charts, as the rank of the interior rows on the window."""
     n, m = t.n, t.m
     orders = tuple(codim_reg(t, r) for r in range(-1, n + 1))
-    return _system_dim(_chart_points(n), orders, m, _boundary_columns(n, m))
+    return _system_dim(_interior_tables(n, m), orders, m)
 
 
 def hsum_oracle(n: int, m: int) -> int:
@@ -272,14 +288,13 @@ def hsum_oracle(n: int, m: int) -> int:
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    points = _chart_points(n)
-    ends = _boundary_columns(n, m)
+    tables = _interior_tables(n, m)
     dims: dict[tuple[int, ...], int] = {}
     total = 0
     for t in admissible_triples(n, m, n * m - 1):
         orders = chart_codims(t)
         dim = dims.get(orders)
         if dim is None:
-            dim = dims[orders] = _system_dim(points, orders, m, ends)
+            dim = dims[orders] = _system_dim(tables, orders, m)
         total += dim
     return total

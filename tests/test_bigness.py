@@ -18,6 +18,7 @@ from ansing.bigness import (
     evaluate_criterion,
     load_config,
 )
+from ansing.invariants import h1_omega
 
 
 def test_no_singularities_positive_chern():
@@ -66,6 +67,29 @@ def test_order_independence():
         config_from_dict({"s2": "-2/3", "singularities": sings[::-1]})
     )
     assert a["total"] == b["total"] and a["verdict"] == b["verdict"]
+
+
+def test_one_basel_pass_matches_the_per_entry_rates():
+    # repeated n, neighbours, n = 1 and the largest n first or last: the one
+    # pass must hand each entry the partial sum at its own n
+    rng = random.Random(97)
+    configs = [
+        ((5, 2), (5, 3), (4, 1), (6, 1)),
+        ((1, 1), (1, 7)),
+        ((60, 1), (1, 2), (59, 3), (60, 4), (2, 1)),
+        ((2, 1), (3, 1), (4, 2), (3, 5)),
+    ]
+    for _ in range(20):
+        centre = rng.randint(1, 80)
+        configs.append(
+            tuple((max(1, centre + rng.randint(-2, 2)), rng.randint(1, 9)) for _ in range(rng.randint(1, 8)))
+        )
+    for sings in configs:
+        s2 = F(rng.randint(-50, 50), rng.randint(1, 7))
+        expected = sum((count * h1_omega(n) for n, count in sings), F(0))
+        result = evaluate_criterion(SurfaceConfig("x", s2, sings))
+        assert result["localized"] == expected
+        assert result["total"] == expected + s2 / 6
 
 
 def test_chern_pair_input_and_consistency():

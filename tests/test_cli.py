@@ -198,6 +198,26 @@ def test_limits_verb(capsys):
     assert payload["h1"]["strictly_increasing"]
 
 
+# sha256 prefixes of `limits --n N --no-timestamp` stdout, each computed in a
+# fresh process; at and past n = 400 the h0 report reads the same exact cap
+LIMITS_STDOUT_SHA256 = {
+    100000: "04957c40286b0160",
+    2: "a31685da076ca1fd",
+    400: "d6163c2741d4e1bd",
+    399: "49737f8a508b88a6",
+    1427: "abd78959766df02c",
+    401: "9efda68731b2f906",
+}
+
+
+def test_limits_stdout_is_pinned_whatever_ran_before(capsys):
+    # one process, caps in mixed order: no report may read another's value
+    for n, digest in LIMITS_STDOUT_SHA256.items():
+        code, captured = run_raw(capsys, ["limits", "--n", str(n), "--no-timestamp"])
+        assert code == 0
+        assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == digest, n
+
+
 def test_sweep_values(capsys):
     code, payload = run_json(
         capsys, ["hsum-sweep", "--n", "1", "--m-from", "0", "--m-to", "2", "--no-timestamp"]

@@ -27,7 +27,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from ansing import bigness, cli  # noqa: E402
+from ansing import asymptotics, bigness, cli  # noqa: E402
 
 VERBS = [
     "hsum", "hsum-sweep", "oracle-verify", "omega", "mu", "chi-orb", "h1",
@@ -144,14 +144,17 @@ def config_texts(draw) -> str:
     return "{" + ", ".join(fields) + "}"
 
 
-# the real rate, computed once per n: admitted n at the bound stay cheap
-_h1_omega_once = functools.cache(bigness.h1_omega)
+# the real Basel partial sums, computed once per bound: admitted n at the
+# bound stay cheap
+_basel_prefix = functools.cache(lambda n_max: tuple(asymptotics._basel_sums(n_max)))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(text=config_texts())
 def test_cli_contract_holds_for_any_bigness_config(text):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(bigness, "h1_omega", _h1_omega_once):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        bigness, "_basel_sums", lambda n_max: iter(_basel_prefix(n_max))
+    ):
         path = Path(tmp) / "surface.json"
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()

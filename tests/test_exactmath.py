@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -56,6 +57,24 @@ def test_rational_string_codec():
     assert parse_rational("-5") == F(-5)
     for value in (F(0), F(7, 3), F(-22, 7), F(41)):
         assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e3000000", "1E-7", "2e3/5", "0.5", "-1.25", ".5", "1_000", " 3", "3 ", "+-1", "1/-2", "١", "", "/", "1/", "1/0", "inf", "nan"],
+)
+def test_parse_rational_takes_only_the_codec(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError):
+        parse_rational(text)
+    # Fraction("1e3000000") builds a 3-million-digit integer, about 1.6 s
+    assert time.perf_counter() - start < 0.1
+
+
+def test_parse_rational_signs():
+    assert parse_rational("+12/8") == F(3, 2)
+    assert parse_rational("-0") == 0
+    assert parse_rational("007") == 7
 
 
 def test_rational_ring_axioms_on_random_triples():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ansing import oracle
+from ansing.cli import ORACLE_M_LIMIT, ORACLE_N_LIMIT
 from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples
 from ansing.oracle import (
@@ -95,6 +96,16 @@ def test_vanishing_rows_match_direct_construction():
     # past t = m every derivative of a degree-m form vanishes, so the table
     # stops at t = m and an order past m + 1 adds only zero rows
     assert _vanishing_rows_direct((2, -1), 5, 2)[3:] == [[0, 0, 0]] * 2
+
+
+def test_whole_tables_match_direct_construction_across_the_cli_range():
+    # a wrong entry rarely changes a rank (a perturbed full-rank system stays
+    # full rank), so the oracle's answers cannot stand in for this check
+    for n in range(1, ORACLE_N_LIMIT + 1):
+        for m in (11, 16, 23, ORACLE_M_LIMIT):
+            for r in range(-1, n + 1):
+                point = (r + 1, r - n)
+                assert [list(row) for row in _derivative_table(point, m)] == _vanishing_rows_direct(point, m + 1, m)
 
 
 def _support(row):
@@ -319,6 +330,27 @@ def test_every_boundary_row_is_checked_before_any_block(monkeypatch):
     with pytest.raises(ArithmeticError):
         hsum_oracle(3, 5)
     assert tables == [(0, -4), (4, 0)]
+
+
+@pytest.mark.parametrize("spoiled_point", ["low", "high"])
+def test_boundary_singleton_in_the_wrong_column_raises(monkeypatch, spoiled_point):
+    # rows 0 and 1 of one boundary table swapped: every row is still a
+    # singleton, so rank_ends would still count columns, but the window of
+    # columns the boundary rows leave would be the wrong one
+    table = oracle._derivative_table
+
+    def swapped(point, m):
+        rows = table(point, m)
+        boundary = point[0] == 0 if spoiled_point == "low" else point[1] == 0
+        return (rows[1], rows[0]) + rows[2:] if boundary else rows
+
+    monkeypatch.setattr(oracle, "_derivative_table", swapped)
+    for n, m in [(1, 2), (3, 5), (6, 9)]:
+        assert all(row.count(0) == m for point in [(0, -n - 1), (n + 1, 0)] for row in swapped(point, m))
+        with pytest.raises(ArithmeticError):
+            hsum_oracle_triple(TripleIndex(n, 0, m, m))
+        with pytest.raises(ArithmeticError):
+            hsum_oracle(n, m)
 
 
 def test_hsum_oracle_is_the_sum_of_its_blocks():
