@@ -14,10 +14,9 @@ from .invariants import chi_orb, h1, h1_omega, mu
 from .latticesum import hsum, polygon
 from .monoblocks import TripleIndex
 from .oracle import hsum_oracle, hsum_oracle_triple
-from .quasifit import FitRequest, coefficient_report, fit
+from .quasifit import coefficient_report, fit
 
 __all__ = [
-    "FitRequest",
     "QuasiPolynomial",
     "TripleIndex",
     "chi_orb",

@@ -10,7 +10,7 @@ Integration is exact: each piece is fan-triangulated from its first vertex
 and an affine integrand contributes signed_area * (mean of the three vertex
 values) per triangle, which is an identity, not an approximation.  Pieces
 that degenerate for tiny m (a vertex drifting into x1 < 0) are clipped to
-the closed positive quadrant first.
+x1 >= 0 first, which leaves them in the closed positive quadrant.
 """
 
 from __future__ import annotations
@@ -48,8 +48,14 @@ class PolygonPiece:
     weight: AffineWeight
 
 
-def _clip_halfplane(vertices: list[Point], axis: int) -> list[Point]:
-    """Keep the part of the polygon with coordinate[axis] >= 0 (Sutherland-Hodgman)."""
+def _clip_halfplane(vertices: list[Point]) -> list[Point]:
+    """Keep the part of the polygon with x1 >= 0 (Sutherland-Hodgman).
+
+    Only x1 needs clipping: every raw piece vertex already has x2 >= 0.
+    ``_vertex``'s x2 is 2(m+1)/(d1(d1+1)) with d1 <= -2, so it is positive,
+    and every other vertex lies on x2 = 0 or on the x2-axis above it.  The
+    points the clip adds sit between two such vertices.
+    """
     if not vertices:
         return []
     out: list[Point] = []
@@ -57,17 +63,13 @@ def _clip_halfplane(vertices: list[Point], axis: int) -> list[Point]:
     for idx in range(count):
         cur = vertices[idx]
         nxt = vertices[(idx + 1) % count]
-        cur_in = cur[axis] >= 0
-        nxt_in = nxt[axis] >= 0
+        cur_in = cur[0] >= 0
+        nxt_in = nxt[0] >= 0
         if cur_in:
             out.append(cur)
         if cur_in != nxt_in:
-            t = cur[axis] / (cur[axis] - nxt[axis])
-            crossing = (
-                cur[0] + t * (nxt[0] - cur[0]),
-                cur[1] + t * (nxt[1] - cur[1]),
-            )
-            out.append(crossing)
+            t = cur[0] / (cur[0] - nxt[0])
+            out.append((Fraction(0), cur[1] + t * (nxt[1] - cur[1])))
     return out
 
 
@@ -81,7 +83,7 @@ def _vertex(n: int, m: int, j: int) -> Point:
 
 
 def pieces(n: int, m: int) -> list[PolygonPiece]:
-    """The n+2 affine pieces tiling the upper-half polygon, clipped to x1, x2 >= 0."""
+    """The n+2 affine pieces tiling the upper-half polygon, in x1, x2 >= 0."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     mf = Fraction(m)
@@ -113,8 +115,7 @@ def pieces(n: int, m: int) -> list[PolygonPiece]:
 
     result = []
     for label, verts, w in raw:
-        clipped = _clip_halfplane(_clip_halfplane(verts, 0), 1)
-        result.append(PolygonPiece(label, m, tuple(clipped), w))
+        result.append(PolygonPiece(label, m, tuple(_clip_halfplane(verts)), w))
     return result
 
 

@@ -10,12 +10,12 @@ inconclusive, never as "not big".
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .asymptotics import _basel_sums, _h1_terms, _rate
+from .exactmath import parse_rational
 
 # Config bounds.  Every entry's h1_omega(n) is computed exactly, all of them
 # from one pass of exact Basel partial sums up to the largest n (about 40 ms to
@@ -28,7 +28,6 @@ COUNT_LIMIT = 10**6  # count of one entry
 ENTRIES_LIMIT = 16  # entries in "singularities"
 DIGITS_LIMIT = 100  # digits of p and of q in a rational p/q
 BYTES_LIMIT = 65536  # the file, read no further: the largest admitted config takes ~1.3 KB
-_RATIONAL = re.compile(r"[+-]?[0-9]{1,%d}(/[0-9]{1,%d})?" % (DIGITS_LIMIT, DIGITS_LIMIT))
 
 
 class ConfigError(ValueError):
@@ -44,15 +43,19 @@ class SurfaceConfig:
 
 def _as_fraction(value) -> Fraction:
     """An integer, or a string [+-]p or [+-]p/q, with p and q of at most
-    DIGITS_LIMIT digits each; the length is checked before anything is parsed."""
+    DIGITS_LIMIT digits each.  The length of each part is checked first, so
+    no longer number reaches ``parse_rational``, which reads the grammar."""
     if isinstance(value, int) and not isinstance(value, bool):
         if -(10**DIGITS_LIMIT) < value < 10**DIGITS_LIMIT:
             return Fraction(value)
-    elif isinstance(value, str) and _RATIONAL.fullmatch(value):
+    elif isinstance(value, str) and all(
+        len(part) <= DIGITS_LIMIT for part in value.lstrip("+-").split("/")
+    ):
         try:
-            return Fraction(value)
-        except ZeroDivisionError as exc:
-            raise ConfigError(f"zero denominator in {value!r}") from exc
+            return parse_rational(value)
+        except ValueError as exc:
+            if isinstance(exc.__cause__, ZeroDivisionError):  # "zero denominator in ..."
+                raise ConfigError(str(exc)) from exc
     raise ConfigError(
         f"expected an integer or a string 'p' or 'p/q' of at most {DIGITS_LIMIT} digits each,"
         f" got {value!r}"

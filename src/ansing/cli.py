@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import asymptotics, bigness, extension, invariants, latticesum, oracle, quasifit
 from .exactmath import format_rational
-from .quasifit import FitRequest, InsufficientSamplesError, NoPeriodFitsError
+from .quasifit import InsufficientSamplesError, NoPeriodFitsError
 
 
 class CliInputError(ValueError):
@@ -282,7 +282,6 @@ def _cmd_divisor(args):
 
 def _cmd_polygon(args):
     n, m = _need_nm(args, n_limit=POLYGON_N_LIMIT)
-    poly = latticesum.polygon(n, m)
     piece_payload = []
     for piece in asymptotics.pieces(n, m):
         piece_payload.append(
@@ -300,7 +299,7 @@ def _cmd_polygon(args):
     return {
         "n": n,
         "m": m,
-        "half_planes": [list(plane) for plane in poly.half_planes],
+        "half_planes": [list(plane) for plane in latticesum.polygon(n, m)],
         "pieces": piece_payload,
     }, 0
 
@@ -319,7 +318,7 @@ def _cmd_fit(args):
     values = tuple(
         (m, Fraction(latticesum.hsum(args.n, m))) for m in range(m_to + 1)
     )
-    qp = quasifit.fit(FitRequest(values=values, degree=args.degree, max_period=args.max_period))
+    qp = quasifit.fit(values, args.degree, args.max_period)
     return {
         "n": args.n,
         "degree": args.degree,
@@ -434,11 +433,10 @@ def _csv_rows(payload: dict) -> list[dict]:
 def _emit_csv(payload: dict) -> str:
     rows = _csv_rows(payload)
     buffer = io.StringIO()
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
+    if "rows" in payload:  # a sweep's header is fixed: an empty sweep prints it too
+        fields = list(_ROW_FIELDS)
+    else:
+        fields = list(dict.fromkeys(key for row in rows for key in row))
     writer = csv.DictWriter(buffer, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for row in rows:

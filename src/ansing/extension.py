@@ -17,32 +17,14 @@ blocks once i >= n*m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactmath import ceil_ratio
 from .monoblocks import TripleIndex, chart_order
 
 
-@dataclass(frozen=True)
-class DivisorCoeffs:
-    """Coefficients a_1..a_n of the divisor on E_1..E_n."""
-
-    n: int
-    m: int
-    a: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class PoleProfile:
-    """Per-component pole offsets of one block relative to log poles."""
-
-    triple: TripleIndex
-    offsets: tuple[int, ...]
-
-
-def divisor_D(n: int, m: int) -> DivisorCoeffs:
-    """Closed-form divisor coefficients: a_r = S(min(r-1, n-r)), where S(k)
-    is the prefix sum of ceil((m - 2j)/(n+1)) over j = 0..k."""
+def divisor_D(n: int, m: int) -> tuple[int, ...]:
+    """The coefficients a_1..a_n of the divisor on E_1..E_n, in closed form:
+    a_r = S(min(r-1, n-r)), where S(k) is the prefix sum of
+    ceil((m - 2j)/(n+1)) over j = 0..k."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     prefix = []
@@ -50,16 +32,17 @@ def divisor_D(n: int, m: int) -> DivisorCoeffs:
     for j in range((n - 1) // 2 + 1):
         total += ceil_ratio(m - 2 * j, n + 1)
         prefix.append(total)
-    return DivisorCoeffs(n, m, tuple(prefix[min(r - 1, n - r)] for r in range(1, n + 1)))
+    return tuple(prefix[min(r - 1, n - r)] for r in range(1, n + 1))
 
 
-def pole_profile(t: TripleIndex) -> PoleProfile:
-    """Offsets of one block on E_1..E_n: offset_r = m + chart_order(t, r-1).
+def pole_profile(t: TripleIndex) -> tuple[int, ...]:
+    """Pole offsets of one block on E_1..E_n relative to log poles:
+    offset_r = m + chart_order(t, r-1).
 
     Negative offsets only occur for inadmissible khat; admissible blocks have
     all offsets >= 0, which is the at-most-logarithmic pole bound.
     """
-    return PoleProfile(t, tuple(t.m + chart_order(t, r - 1) for r in range(1, t.n + 1)))
+    return tuple(t.m + chart_order(t, r - 1) for r in range(1, t.n + 1))
 
 
 def extends_holomorphically(t: TripleIndex) -> bool:
@@ -71,9 +54,9 @@ def extends_holomorphically(t: TripleIndex) -> bool:
     """
     if not t.is_admissible():
         raise ValueError(f"triple outside the admissible block range: {t}")
-    return all(offset >= t.m for offset in pole_profile(t).offsets)
+    return all(offset >= t.m for offset in pole_profile(t))
 
 
 def divisor_record(n: int, m: int) -> dict:
     """JSON-able record of the divisor coefficients."""
-    return {"n": n, "m": m, "coefficients": list(divisor_D(n, m).a)}
+    return {"n": n, "m": m, "coefficients": list(divisor_D(n, m))}

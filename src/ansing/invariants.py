@@ -17,42 +17,30 @@ leaves the rationals.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .asymptotics import _basel, _basel_float, _basel_sums, _h1_terms, _increasing_to, _rate, _rate_float
 from .latticesum import hsum
 
 
-@dataclass(frozen=True)
-class ChernLocal:
-    """Local Chern numbers of an A_n point on the resolution."""
-
-    n: int
-    c1sq: Fraction
-    c2: Fraction
-    s2: Fraction
-
-
-def chern_local(n: int) -> ChernLocal:
+def local_c2(n: int) -> Fraction:
+    """Local second Chern number of an A_n point on the resolution:
+    c2 = e(exceptional chain) - 1/|group| = (n+1) - 1/(n+1)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    # c2 = e(exceptional chain) - 1/|group| = (n+1) - 1/(n+1)
-    c2 = Fraction(n * (n + 2), n + 1)
-    return ChernLocal(n=n, c1sq=Fraction(0), c2=c2, s2=-c2)
+    return Fraction(n * (n + 2), n + 1)
 
 
 def chi_orb(n: int, m: int) -> Fraction:
-    """Orbifold Euler characteristic polynomial evaluated at degree m."""
+    """Orbifold Euler characteristic polynomial evaluated at degree m.
+
+    In general it is s2/6 m^3 - c2/2 m^2 - (c1^2 + 3 c2)/12 m + (c1^2 + c2)/12
+    with s2 = c1^2 - c2.  An A_n point has c1^2 = 0, so s2 = -c2 and every
+    term is a multiple of c2 = ``local_c2(n)``.
+    """
     if m < 0:
         raise ValueError("need m >= 0")
-    ch = chern_local(n)
-    return (
-        ch.s2 / 6 * m**3
-        - ch.c2 / 2 * m**2
-        - (ch.c1sq + 3 * ch.c2) / 12 * m
-        + (ch.c1sq + ch.c2) / 12
-    )
+    return local_c2(n) * Fraction(1 - 3 * m - 6 * m**2 - 2 * m**3, 12)
 
 
 # mu's lru_cache bound: a sweep at the CLI's --m-to bound needs 1501 entries

@@ -29,30 +29,15 @@ bisection it replaced is kept as a test oracle too).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """P_n(m), as upper-half half-planes a*x1 + b*x2 <= c."""
-
-    n: int
-    m: int
-    half_planes: tuple[tuple[int, int, int], ...]
-
-
-def polygon(n: int, m: int) -> Polygon:
+def polygon(n: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    """P_n(m), as its upper-half half-planes a*x1 + b*x2 <= c."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    planes = (
-        (-1, 0, 0),
-        (0, -1, 0),
-        (1, -(n - 1), m),
-        (-1, n + 1, m + 2),
-    )
-    return Polygon(n, m, planes)
+    return ((-1, 0, 0), (0, -1, 0), (1, -(n - 1), m), (-1, n + 1, m + 2))
 
 
 # hsum's lru_cache bound: a fit or sweep at the CLI's --m-to bound needs

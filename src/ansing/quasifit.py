@@ -10,7 +10,6 @@ period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import QuasiPolynomial, horner
@@ -26,30 +25,6 @@ class InsufficientSamplesError(FitError):
 
 class NoPeriodFitsError(FitError):
     """Every candidate period up to the bound fails verification."""
-
-
-@dataclass(frozen=True)
-class FitRequest:
-    """Samples (m, value) with the target degree and the period search bound.
-
-    Every residue class of every candidate period needs degree+1 samples to
-    interpolate plus at least two more to verify.
-    """
-
-    values: tuple[tuple[int, Fraction], ...]
-    degree: int
-    max_period: int
-
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        if self.max_period < 1:
-            raise ValueError("max_period must be >= 1")
-        seen = set()
-        for m, _ in self.values:
-            if m < 0 or m in seen:
-                raise ValueError("sample points must be distinct and >= 0")
-            seen.add(m)
 
 
 def _interpolate(points: list[tuple[int, Fraction]], degree: int) -> tuple[Fraction, ...]:
@@ -82,17 +57,27 @@ def _split_classes(
     return classes
 
 
-def fit(req: FitRequest) -> QuasiPolynomial:
-    """Smallest period whose classwise interpolants reproduce every sample.
+def fit(
+    values: tuple[tuple[int, Fraction], ...], degree: int, max_period: int
+) -> QuasiPolynomial:
+    """Smallest period <= max_period whose classwise interpolants of the
+    given degree reproduce every sample (m, value); the m must be distinct
+    and >= 0.
 
     Candidates are tried in increasing order and each must have degree+1 fit
     samples plus two verification samples in every residue class before it is
     tested; running out of samples before any candidate succeeds is reported
     separately from exhausting the candidates.
     """
-    samples = sorted(req.values)
-    needed = req.degree + 3  # degree+1 to fit, two more to verify
-    for period in range(1, req.max_period + 1):
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    if any(m < 0 for m, _ in values) or len({m for m, _ in values}) < len(values):
+        raise ValueError("sample points must be distinct and >= 0")
+    samples = sorted(values)
+    needed = degree + 3  # degree+1 to fit, two more to verify
+    for period in range(1, max_period + 1):
         classes = _split_classes(samples, period)
         if any(len(cls) < needed for cls in classes):
             raise InsufficientSamplesError(
@@ -100,14 +85,14 @@ def fit(req: FitRequest) -> QuasiPolynomial:
             )
         branches = []
         for cls in classes:
-            coeffs = _interpolate(cls[: req.degree + 1], req.degree)
-            if all(horner(coeffs, m) == v for m, v in cls[req.degree + 1 :]):
+            coeffs = _interpolate(cls[: degree + 1], degree)
+            if all(horner(coeffs, m) == v for m, v in cls[degree + 1 :]):
                 branches.append(coeffs)
             else:
                 break
         if len(branches) == period:
             return QuasiPolynomial(period, tuple(branches))
-    raise NoPeriodFitsError(f"no period <= {req.max_period} fits the samples")
+    raise NoPeriodFitsError(f"no period <= {max_period} fits the samples")
 
 
 def coefficient_report(qp: QuasiPolynomial) -> dict:

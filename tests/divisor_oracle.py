@@ -9,11 +9,11 @@ of admissible blocks, read from the public ``extension.pole_profile``.
 from __future__ import annotations
 
 from ansing.exactmath import ceil_ratio
-from ansing.extension import DivisorCoeffs, pole_profile
+from ansing.extension import pole_profile
 from ansing.monoblocks import admissible_triples
 
 
-def divisor_D_case_formula(n: int, m: int) -> DivisorCoeffs:
+def divisor_D_case_formula(n: int, m: int) -> tuple[int, ...]:
     """The equivalent two-case form of the coefficients."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -23,10 +23,10 @@ def divisor_D_case_formula(n: int, m: int) -> DivisorCoeffs:
         coeffs.append(
             sum(ceil_ratio(m + 2 - 2 * j, n + 1) for j in range(1, upper + 1))
         )
-    return DivisorCoeffs(n, m, tuple(coeffs))
+    return tuple(coeffs)
 
 
-def divisor_D_bruteforce(n: int, m: int, i_max: int) -> DivisorCoeffs:
+def divisor_D_bruteforce(n: int, m: int, i_max: int) -> tuple[int, ...]:
     """Coefficients as offset minima over a block window.
 
     The window must contain the minimizer; offsets grow with i, so scanning
@@ -38,9 +38,9 @@ def divisor_D_bruteforce(n: int, m: int, i_max: int) -> DivisorCoeffs:
         raise ValueError(f"window too small: i_max={i_max} < (n+1)*m={(n + 1) * m}")
     best: list[int | None] = [None] * n
     for t in admissible_triples(n, m, i_max):
-        for r, value in enumerate(pole_profile(t).offsets):
+        for r, value in enumerate(pole_profile(t)):
             if best[r] is None or value < best[r]:
                 best[r] = value
     if None in best:
         raise ArithmeticError("offset minimum missing")
-    return DivisorCoeffs(n, m, tuple(best))
+    return tuple(best)

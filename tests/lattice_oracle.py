@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ansing.latticesum import Polygon
 from ansing.monoblocks import TripleIndex, admissible_triples, codim_reg
 
 LatticePoint = tuple[int, int]
@@ -49,19 +48,19 @@ def weight(n: int, m: int, point: LatticePoint) -> int:
     return total
 
 
-def contains(poly: Polygon, point: LatticePoint) -> bool:
-    """Membership in the full polygon, reflected across x2 = 0."""
+def contains(half_planes: tuple[tuple[int, int, int], ...], point: LatticePoint) -> bool:
+    """Membership in the full polygon given by its upper-half half-planes
+    a*x1 + b*x2 <= c, reflected across x2 = 0."""
     x1, x2 = point
     x2 = abs(x2)
-    return all(a * x1 + b * x2 <= c for a, b, c in poly.half_planes)
+    return all(a * x1 + b * x2 <= c for a, b, c in half_planes)
 
 
-def lattice_points(poly: Polygon) -> Iterator[LatticePoint]:
-    """All integer points of the full (reflected) polygon.
+def lattice_points(n: int, m: int) -> Iterator[LatticePoint]:
+    """All integer points of the full (reflected) polygon P_n(m).
 
     Deterministic row-major order: increasing x2, then increasing x1.
     """
-    n, m = poly.n, poly.m
     for x2 in range(-(m + 1), m + 2):
         a = abs(x2)
         x1_lo = max(0, (n + 1) * a - m - 2)

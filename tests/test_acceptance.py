@@ -26,7 +26,7 @@ from ansing.invariants import h1, h1_omega, mu
 from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples, parity_holds
 from ansing.oracle import hsum_oracle, hsum_oracle_triple
-from ansing.quasifit import FitRequest, NoPeriodFitsError, fit
+from ansing.quasifit import NoPeriodFitsError, fit
 from cyclo_oracle import mu_coordinates
 from divisor_oracle import divisor_D_bruteforce, divisor_D_case_formula
 from general_position import general_position_check
@@ -117,25 +117,13 @@ def test_criterion_04_h1_integrality_nonnegativity():
 
 
 def test_criterion_05_quasi_fit():
-    qp1 = fit(
-        FitRequest(
-            values=tuple((m, F(hsum(1, m))) for m in range(73)),
-            degree=3,
-            max_period=12,
-        )
-    )
+    qp1 = fit(tuple((m, F(hsum(1, m))) for m in range(73)), 3, 12)
     ok1 = (
         qp1.period == 6
         and {b[3] for b in qp1.branches} == {F(11, 108)}
         and {b[2] for b in qp1.branches} == {F(11, 36)}
     )
-    qp2 = fit(
-        FitRequest(
-            values=tuple((m, F(hsum(2, m))) for m in range(73)),
-            degree=3,
-            max_period=12,
-        )
-    )
+    qp2 = fit(tuple((m, F(hsum(2, m))) for m in range(73)), 3, 12)
     ok2 = qp2.period == 6 and qp2.branches == EXAMPLE1.branches
     _report(
         5,
@@ -195,18 +183,18 @@ def test_criterion_09_divisor():
     for n in range(1, 7):
         for m in range(0, 21):
             window = (n + 1) * m + 2 * (n + 1)
-            if divisor_D(n, m).a != divisor_D_bruteforce(n, m, window).a:
+            if divisor_D(n, m) != divisor_D_bruteforce(n, m, window):
                 brute_fail.append((n, m))
     shape_fail = []
     for n in range(1, 21):
         for m in range(0, 51):
-            coeffs = divisor_D(n, m).a
+            coeffs = divisor_D(n, m)
             if any(c < 0 for c in coeffs) or coeffs != coeffs[::-1]:
                 shape_fail.append((n, m))
     case_fail = []
     for n in range(1, 11):
         for m in range(0, 31):
-            if divisor_D(n, m).a != divisor_D_case_formula(n, m).a:
+            if divisor_D(n, m) != divisor_D_case_formula(n, m):
                 case_fail.append((n, m))
     ok = not brute_fail and not shape_fail and not case_fail
     _report(
@@ -260,9 +248,7 @@ def test_criterion_11_mu_rationality_and_quasi_linearity():
         window = 2 * (n + 1)
         samples = tuple((m, mu(n, m)) for m in range(4 * window))
         try:
-            detected[n] = fit(
-                FitRequest(values=samples, degree=1, max_period=window)
-            ).period
+            detected[n] = fit(samples, 1, window).period
         except NoPeriodFitsError:
             detected[n] = None
     print(f"  mu quasi-linear periods by n (window 2(n+1), reported): {detected}")

@@ -189,6 +189,14 @@ def test_degenerate_pieces_at_m_zero():
         assert 0 < value < 1
 
 
+def test_piece_vertices_lie_in_the_closed_quadrant():
+    # pieces clips to x1 >= 0 only; x2 >= 0 holds by construction
+    for n in range(1, 41):
+        for m in range(0, 81):
+            for piece in pieces(n, m):
+                assert all(x1 >= 0 and x2 >= 0 for x1, x2 in piece.vertices), (n, m, piece.label)
+
+
 def test_h0_omega_values():
     assert h0_omega(1) == F(11, 108)
     assert h0_omega(2) == F(29, 216)

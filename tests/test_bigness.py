@@ -187,6 +187,13 @@ def test_only_integers_and_p_over_q_strings(value):
         config_from_dict({"s2": value})
 
 
+def test_overlong_parts_are_config_errors():
+    # past the int-to-str digit limit, so Fraction() would raise a bare ValueError
+    for value in ("1" * 60000, "1/" + "1" * 60000, "+" + "1" * 60000 + "/0"):
+        with pytest.raises(ConfigError, match="^expected an integer"):
+            config_from_dict({"s2": value})
+
+
 def test_signed_forms_are_rationals():
     assert config_from_dict({"s2": "+12/8"}).s2 == F(3, 2)
     assert config_from_dict({"s2": "-0"}).s2 == 0

@@ -102,6 +102,26 @@ def test_fit_verb_no_period_exits_3(capsys):
     assert "no period" in captured.err
 
 
+# exact --no-timestamp output of the verbs built on divisor_D, polygon,
+# pieces and fit, so a change in what they return shows byte for byte
+PINNED_OUTPUT = [
+    (("divisor", "--n", "3", "--m", "5"), 0, '{"n": 3, "m": 5, "coefficients": [2, 3, 2]}\n', ""),
+    (("divisor", "--n", "1", "--m", "0"), 0, '{"n": 1, "m": 0, "coefficients": [0]}\n', ""),
+    (("polygon", "--n", "2", "--m", "3"), 0, '{"n": 2, "m": 3, "half_planes": [[-1, 0, 0], [0, -1, 0], [1, -1, 3], [-1, 3, 5]], "pieces": [{"label": 0, "vertices": [["0", "1"], ["1", "2/3"], ["1", "0"], ["0", "0"]], "weight": {"x1": "1", "x2": "0", "m": "0", "const": "1"}}, {"label": 1, "vertices": [["1", "2/3"], ["5/3", "4/3"], ["3", "0"], ["1", "0"]], "weight": {"x1": "-1", "x2": "0", "m": "1", "const": "0"}}, {"label": 2, "vertices": [["5/3", "4/3"], ["7", "4"], ["3", "0"]], "weight": {"x1": "-1/2", "x2": "1/2", "m": "1/2", "const": "0"}}, {"label": 3, "vertices": [["0", "5/3"], ["7", "4"], ["5/3", "4/3"], ["1", "2/3"], ["0", "1"]], "weight": {"x1": "1/2", "x2": "-3/2", "m": "1/2", "const": "1"}}]}\n', ""),
+    (("polygon", "--n", "2", "--m", "3", "--csv"), 0, 'label,vertices,weight_x1,weight_x2,weight_m,weight_const\n0,"[[""0"", ""1""], [""1"", ""2/3""], [""1"", ""0""], [""0"", ""0""]]",1,0,0,1\n1,"[[""1"", ""2/3""], [""5/3"", ""4/3""], [""3"", ""0""], [""1"", ""0""]]",-1,0,1,0\n2,"[[""5/3"", ""4/3""], [""7"", ""4""], [""3"", ""0""]]",-1/2,1/2,1/2,0\n3,"[[""0"", ""5/3""], [""7"", ""4""], [""5/3"", ""4/3""], [""1"", ""2/3""], [""0"", ""1""]]",1/2,-3/2,1/2,1\n', ""),
+    (("fit", "--n", "1"), 0, '{"n": 1, "degree": 3, "max_period": 12, "m_to": 71, "period": 6, "branches": [["0", "1/6", "11/36", "11/108"], ["-35/108", "-1/12", "11/36", "11/108"], ["5/27", "7/18", "11/36", "11/108"], ["-1/4", "-1/12", "11/36", "11/108"], ["-2/27", "1/6", "11/36", "11/108"], ["-7/108", "5/36", "11/36", "11/108"]]}\n', ""),
+    (("fit", "--n", "3"), 3, "", '{"error": "no period <= 12 fits the samples"}\n'),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout, stderr", PINNED_OUTPUT, ids=[" ".join(a) for a, *_ in PINNED_OUTPUT]
+)
+def test_verbs_print_the_pinned_bytes(capsys, argv, code, stdout, stderr):
+    assert cli.run([*argv, "--no-timestamp"]) == code
+    assert capsys.readouterr() == (stdout, stderr)
+
+
 def test_integral_check_verb(capsys):
     code, payload = run_json(
         capsys, ["integral-check", "--n", "2", "--m", "6", "--no-timestamp"]
@@ -245,6 +265,12 @@ def test_sweep_csv_has_header(capsys):
     assert lines[0] == "m,hsum,mu,chi_orb,h1"
     assert lines[1] == "0,0,1/8,1/8,0"
     assert len(lines) == 4
+    # an empty range still prints the header
+    code, captured = run_raw(
+        capsys, ["hsum-sweep", "--n", "2", "--m-from", "3", "--m-to", "2", "--csv"]
+    )
+    assert code == 0
+    assert captured.out == "m,hsum,mu,chi_orb,h1\n"
 
 
 def test_single_record_csv(capsys):

@@ -7,13 +7,13 @@ from ansing.asymptotics import h0_omega
 from ansing.exactmath import CycloElement, cyclotomic_polynomial
 from ansing.invariants import (
     MU_CACHE_SIZE,
-    chern_local,
     chi_orb,
     h1,
     h1_omega,
     h1_omega_float,
     h1_omega_limit_report,
     invariant_record,
+    local_c2,
     mu,
 )
 from cyclo_oracle import mu_coordinates, mul_mod, reduce_mod, scaled_inverses
@@ -30,17 +30,29 @@ TABLE_H1_OMEGA = {
 
 
 def test_chern_local():
-    ch = chern_local(1)
-    assert ch.c1sq == 0 and ch.c2 == F(3, 2) and ch.s2 == F(-3, 2)
-    ch = chern_local(2)
-    assert ch.c2 == F(8, 3)
-    assert ch.s2 == ch.c1sq - ch.c2
+    assert local_c2(1) == F(3, 2)
+    assert local_c2(2) == F(8, 3)
+    # c2 = e(exceptional chain) - 1/|group|
+    assert all(local_c2(n) == (n + 1) - F(1, n + 1) for n in range(1, 30))
+    with pytest.raises(ValueError):
+        local_c2(0)
 
 
 def test_chi_orb_examples():
     assert chi_orb(1, 0) == F(1, 8)
     assert chi_orb(1, 2) == F(-45, 8)
     assert chi_orb(2, 2) == -10
+
+
+def test_chi_orb_is_the_chern_polynomial():
+    # the general polynomial in c1^2 and c2, with an A_n point's c1^2 = 0
+    for n in range(1, 9):
+        c1sq, c2 = F(0), local_c2(n)
+        s2 = c1sq - c2
+        for m in range(0, 25):
+            assert chi_orb(n, m) == (
+                s2 / 6 * m**3 - c2 / 2 * m**2 - (c1sq + 3 * c2) / 12 * m + (c1sq + c2) / 12
+            )
 
 
 def test_mu_closed_form_for_n1():
@@ -134,11 +146,11 @@ def test_h1_omega_table():
 
 
 def test_h1_omega_component_identity():
-    # h1_omega(n) = -s2(n)/6 - h0_omega(n), since mu grows below cubically
+    # h1_omega(n) = -s2(n)/6 - h0_omega(n), since mu grows below cubically;
+    # an A_n point has c1^2 = 0, so -s2 = c2
     for n in range(1, 51):
-        s2 = chern_local(n).s2
-        assert h1_omega(n) == -s2 / 6 - h0_omega(n)
-    assert -chern_local(1).s2 / 6 - F(11, 108) == F(4, 27)
+        assert h1_omega(n) == local_c2(n) / 6 - h0_omega(n)
+    assert local_c2(1) / 6 - F(11, 108) == F(4, 27)
 
 
 def test_h1_omega_growth():

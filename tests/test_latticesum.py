@@ -6,7 +6,7 @@ import pytest
 from ansing import cli
 from ansing.latticesum import HSUM_CACHE_SIZE, hsum, polygon
 from ansing.monoblocks import TripleIndex, admissible_triples
-from ansing.quasifit import FitRequest, fit
+from ansing.quasifit import fit
 from lattice_oracle import (
     contains,
     hsum_bisection,
@@ -50,9 +50,8 @@ def test_weight_zero_on_parity_failure():
 
 
 def test_weight_positive_set_n1_m2():
-    poly = polygon(1, 2)
     positive = [
-        p for p in lattice_points(poly) if p[1] >= 0 and weight(1, 2, p) > 0
+        p for p in lattice_points(1, 2) if p[1] >= 0 and weight(1, 2, p) > 0
     ]
     assert positive == [(0, 0), (0, 1)]
 
@@ -71,7 +70,7 @@ def test_lattice_points_enumeration_is_exact_and_ordered():
     for n in (1, 2, 3):
         for m in (0, 1, 4):
             poly = polygon(n, m)
-            points = list(lattice_points(poly))
+            points = list(lattice_points(n, m))
             assert points == sorted(points, key=lambda p: (p[1], p[0]))
             assert len(set(points)) == len(points)
             # brute-force membership over a covering box
@@ -119,7 +118,7 @@ def test_hsum_agrees_with_triple_route():
 def test_hsum_agrees_with_plain_point_enumeration():
     for n in range(1, 5):
         for m in range(0, 11):
-            direct = sum(weight(n, m, p) for p in lattice_points(polygon(n, m)))
+            direct = sum(weight(n, m, p) for p in lattice_points(n, m))
             assert hsum(n, m) == direct
 
 
@@ -184,7 +183,7 @@ def test_hsum_follows_its_quasi_polynomial_far_beyond_the_oracles():
     # fitted on m < 72, where the oracles check hsum, then read at m ~ 20000
     for n in (1, 2):
         samples = tuple((m, Fraction(hsum(n, m))) for m in range(72))
-        qp = fit(FitRequest(values=samples, degree=3, max_period=12))
+        qp = fit(samples, 3, 12)
         for m in range(20000, 20000 + qp.period):
             assert hsum(n, m) == qp.evaluate(m)
 

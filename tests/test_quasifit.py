@@ -5,7 +5,6 @@ import pytest
 from ansing.exactmath import QuasiPolynomial
 from ansing.latticesum import hsum
 from ansing.quasifit import (
-    FitRequest,
     InsufficientSamplesError,
     NoPeriodFitsError,
     coefficient_report,
@@ -28,19 +27,19 @@ def _hsum_samples(n, m_top):
 
 def test_constant_sequence():
     values = tuple((m, F(5)) for m in range(12))
-    qp = fit(FitRequest(values=values, degree=3, max_period=2))
+    qp = fit(values, 3, 2)
     assert qp.period == 1
     assert qp.branches == ((F(5), F(0), F(0), F(0)),)
 
 
 def test_fit_reproduces_example1():
-    qp = fit(FitRequest(values=_hsum_samples(2, 47), degree=3, max_period=12))
+    qp = fit(_hsum_samples(2, 47), 3, 12)
     assert qp.period == 6
     assert qp.branches == EXAMPLE1_BRANCHES
 
 
 def test_fit_a1_coefficients():
-    qp = fit(FitRequest(values=_hsum_samples(1, 60), degree=3, max_period=12))
+    qp = fit(_hsum_samples(1, 60), 3, 12)
     assert qp.period == 6
     assert {branch[3] for branch in qp.branches} == {F(11, 108)}
     assert {branch[2] for branch in qp.branches} == {F(11, 36)}
@@ -48,17 +47,17 @@ def test_fit_a1_coefficients():
 
 def test_fit_reproduces_all_samples_exactly():
     samples = _hsum_samples(2, 47)
-    qp = fit(FitRequest(values=samples, degree=3, max_period=12))
+    qp = fit(samples, 3, 12)
     for m, v in samples:
         assert qp.evaluate(m) == v
 
 
 def test_fit_minimality():
     samples = _hsum_samples(2, 47)
-    qp = fit(FitRequest(values=samples, degree=3, max_period=12))
+    qp = fit(samples, 3, 12)
     for smaller in range(1, qp.period):
         with pytest.raises(NoPeriodFitsError):
-            fit(FitRequest(values=samples, degree=3, max_period=smaller))
+            fit(samples, 3, smaller)
 
 
 def test_no_period_fits_error():
@@ -68,28 +67,30 @@ def test_no_period_fits_error():
     )
     values = tuple((m, base.evaluate(m)) for m in range(7 * 7))
     with pytest.raises(NoPeriodFitsError):
-        fit(FitRequest(values=values, degree=3, max_period=5))
-    refit = fit(FitRequest(values=values, degree=3, max_period=8))
+        fit(values, 3, 5)
+    refit = fit(values, 3, 8)
     assert refit.period == 7
 
 
 def test_insufficient_samples_error_is_distinct():
     values = tuple((m, F(m)) for m in range(4))
     with pytest.raises(InsufficientSamplesError):
-        fit(FitRequest(values=values, degree=3, max_period=2))
+        fit(values, 3, 2)
 
 
 def test_request_validation():
-    with pytest.raises(ValueError):
-        FitRequest(values=((0, F(1)), (0, F(2))), degree=1, max_period=2)
-    with pytest.raises(ValueError):
-        FitRequest(values=((0, F(1)),), degree=-1, max_period=2)
-    with pytest.raises(ValueError):
-        FitRequest(values=((0, F(1)),), degree=1, max_period=0)
+    with pytest.raises(ValueError, match="^sample points must be distinct and >= 0$"):
+        fit(((0, F(1)), (0, F(2))), 1, 2)
+    with pytest.raises(ValueError, match="^sample points must be distinct and >= 0$"):
+        fit(((-1, F(1)),), 1, 2)
+    with pytest.raises(ValueError, match="^degree must be >= 0$"):
+        fit(((0, F(1)),), -1, 2)
+    with pytest.raises(ValueError, match="^max_period must be >= 1$"):
+        fit(((0, F(1)),), 1, 0)
 
 
 def test_coefficient_report_example1():
-    qp = fit(FitRequest(values=_hsum_samples(2, 47), degree=3, max_period=12))
+    qp = fit(_hsum_samples(2, 47), 3, 12)
     report = coefficient_report(qp)
     by_degree = {entry["degree"]: entry["coefficients"] for entry in report["by_degree"]}
     assert by_degree[3] == [F(29, 216)]
