@@ -7,20 +7,19 @@ cotangent-bundle bigness criterion, all in exact rational arithmetic with an
 independent brute-force oracle for every combinatorial formula.
 """
 
-from .asymptotics import h0_omega, integral_vs_sum_check, pieces, upper_integral
+from .asymptotics import h0_omega, pieces, upper_integral
 from .exactmath import QuasiPolynomial, format_rational, parse_rational
 from .extension import divisor_D, extends_holomorphically, pole_profile
 from .invariants import chi_orb, h1, h1_omega, mu
 from .latticesum import hsum, polygon
 from .monoblocks import TripleIndex
 from .oracle import hsum_oracle, hsum_oracle_triple
-from .quasifit import coefficient_report, fit
+from .quasifit import fit
 
 __all__ = [
     "QuasiPolynomial",
     "TripleIndex",
     "chi_orb",
-    "coefficient_report",
     "divisor_D",
     "extends_holomorphically",
     "fit",
@@ -31,7 +30,6 @@ __all__ = [
     "hsum",
     "hsum_oracle",
     "hsum_oracle_triple",
-    "integral_vs_sum_check",
     "mu",
     "parse_rational",
     "pieces",

@@ -16,36 +16,12 @@ x1 >= 0 first, which leaves them in the closed positive quadrant.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .latticesum import hsum
-
 Point = tuple[Fraction, Fraction]
-
-
-@dataclass(frozen=True)
-class AffineWeight:
-    """The form a*x1 + b*x2 + c*m + d with exact rational coefficients."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def value_at(self, x1: Fraction, x2: Fraction, m: int) -> Fraction:
-        return self.a * x1 + self.b * x2 + self.c * m + self.d
-
-
-@dataclass(frozen=True)
-class PolygonPiece:
-    """One affine piece of the upper-half weight polygon for fixed (n, m)."""
-
-    label: int
-    m: int
-    vertices: tuple[Point, ...]
-    weight: AffineWeight
+# (a, b, c, d): the affine weight a*x1 + b*x2 + c*m + d
+Weight = tuple[Fraction, Fraction, Fraction, Fraction]
 
 
 def _clip_halfplane(vertices: list[Point]) -> list[Point]:
@@ -82,60 +58,53 @@ def _vertex(n: int, m: int, j: int) -> Point:
     return (x, y)
 
 
-def pieces(n: int, m: int) -> list[PolygonPiece]:
-    """The n+2 affine pieces tiling the upper-half polygon, in x1, x2 >= 0."""
+def pieces(n: int, m: int) -> list[tuple[tuple[Point, ...], Weight]]:
+    """The n+2 affine pieces tiling the upper-half polygon, in x1, x2 >= 0,
+    as (vertices, weight) pairs in label order 0..n+1."""
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     mf = Fraction(m)
     zero = Fraction(0)
+    one = Fraction(1)
     half = Fraction(1, 2)
     v = {j: _vertex(n, m, j) for j in range(1, n + 2)}
     base_right = (Fraction(m * n - 2, n + 2), zero)
 
-    raw: list[tuple[int, list[Point], AffineWeight]] = []
-    raw.append(
-        (
-            0,
-            [(zero, Fraction(m, n + 1)), v[1], base_right, (zero, zero)],
-            AffineWeight(Fraction(1), zero, zero, Fraction(1)),
-        )
-    )
+    raw: list[tuple[list[Point], Weight]] = [
+        ([(zero, Fraction(m, n + 1)), v[1], base_right, (zero, zero)], (one, zero, zero, one))
+    ]
     for j in range(1, n + 1):
         slope = Fraction(j - 1 - n, 2)
-        w = AffineWeight(slope, -(j - 1) * slope, -slope, zero)
         if j == 1:
             verts = [v[1], v[2], (mf, zero), base_right]
         else:
             verts = [v[j], v[j + 1], (mf, zero)]
-        raw.append((j, verts, w))
+        raw.append((verts, (slope, -(j - 1) * slope, -slope, zero)))
     top = [(zero, Fraction(m + 2, n + 1))]
     top.extend(v[j] for j in range(n + 1, 0, -1))
     top.append((zero, Fraction(m, n + 1)))
-    raw.append((n + 1, top, AffineWeight(half, -Fraction(n + 1, 2), half, Fraction(1))))
-
-    result = []
-    for label, verts, w in raw:
-        result.append(PolygonPiece(label, m, tuple(_clip_halfplane(verts)), w))
-    return result
+    raw.append((top, (half, -Fraction(n + 1, 2), half, one)))
+    return [(tuple(_clip_halfplane(verts)), w) for verts, w in raw]
 
 
-def integrate_piece(piece: PolygonPiece) -> Fraction:
-    """Exact integral of the affine weight over the piece.
+def integrate_piece(vertices: tuple[Point, ...], weight: Weight, m: int) -> Fraction:
+    """Exact integral of the affine weight at degree m over the polygon.
 
     Fan-triangulate from the first vertex; each triangle contributes
     signed_area * mean of the three vertex values, and the total sign is
     normalized by the polygon orientation.  Degenerate triangles contribute 0.
     """
-    verts = piece.vertices
-    if len(verts) < 3:
+    if len(vertices) < 3:
         return Fraction(0)
-    values = [piece.weight.value_at(x, y, piece.m) for x, y in verts]
-    x0, y0 = verts[0]
+    a, b, c, d = weight
+    offset = c * m + d
+    values = [a * x + b * y + offset for x, y in vertices]
+    x0, y0 = vertices[0]
     doubled_area = Fraction(0)
     accumulated = Fraction(0)
-    for idx in range(1, len(verts) - 1):
-        x1, y1 = verts[idx]
-        x2, y2 = verts[idx + 1]
+    for idx in range(1, len(vertices) - 1):
+        x1, y1 = vertices[idx]
+        x2, y2 = vertices[idx + 1]
         cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
         if cross == 0:
             continue
@@ -147,7 +116,7 @@ def integrate_piece(piece: PolygonPiece) -> Fraction:
 
 def upper_integral(n: int, m: int) -> Fraction:
     """Integral of the weight over the upper-half polygon, exactly."""
-    return sum((integrate_piece(p) for p in pieces(n, m)), Fraction(0))
+    return sum((integrate_piece(verts, w, m) for verts, w in pieces(n, m)), Fraction(0))
 
 
 def _basel_sums(n_max: int) -> Iterator[Fraction]:
@@ -260,75 +229,4 @@ def h0_omega_limit_report(n_max: int) -> dict:
         "bounded_by_limit": increasing and _h0_omega_as_float(exact_cap) < limit,
         "limit_float": limit,
         "gap_at_n_max_float": limit - h0_omega_float(n_max),
-    }
-
-
-def h0_asymptotic_check(n: int, m_list: list[int], fit_cutoff: int = 12) -> dict:
-    """Residual report for hsum(n, m) - h0_omega(n) * (m^3 + 3 m^2).
-
-    The residual is expected to grow at most linearly: the largest |residual|/m
-    seen for m <= fit_cutoff must bound every sampled ratio.
-    """
-    if not m_list:
-        raise ValueError("m_list must be nonempty")
-    omega = h0_omega(n)
-    samples = []
-    fit_ratio = Fraction(0)
-    max_ratio = Fraction(0)
-    for m in sorted(set(m_list)):
-        residual = hsum(n, m) - omega * (m**3 + 3 * m**2)
-        entry = {"m": m, "residual": residual}
-        if m >= 1:
-            ratio = abs(residual) / m
-            entry["ratio"] = ratio
-            max_ratio = max(max_ratio, ratio)
-            if m <= fit_cutoff:
-                fit_ratio = max(fit_ratio, ratio)
-        samples.append(entry)
-    return {
-        "n": n,
-        "fit_cutoff": fit_cutoff,
-        "fit_ratio": fit_ratio,
-        "max_ratio": max_ratio,
-        "bounded": max_ratio <= fit_ratio,
-        "samples": samples,
-    }
-
-
-def integral_vs_sum_check(n: int, m: int) -> dict:
-    """One comparison record: lattice sum vs exact upper-half integral."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    total = hsum(n, m)
-    integral = upper_integral(n, m)
-    return {
-        "n": n,
-        "m": m,
-        "hsum": total,
-        "integral": integral,
-        "residual": total - integral,
-    }
-
-
-def integral_vs_sum_report(n: int, m_list: list[int]) -> dict:
-    """Fit the linear deviation constant on the two smallest m, validate on the rest.
-
-    Per residue class the deviation is affine in m, so the certificate from
-    two samples is C = max(first ratio, slope of the absolute deviations):
-    the first term covers a positive intercept, the second a negative one.
-    """
-    ms = sorted(set(m_list))
-    if len(ms) < 3 or ms[0] < 1:
-        raise ValueError("need at least three sampled m >= 1")
-    records = [integral_vs_sum_check(n, m) for m in ms]
-    (m1, r1), (m2, r2) = (
-        (rec["m"], abs(rec["residual"])) for rec in records[:2]
-    )
-    constant = max(r1 / m1, (r2 - r1) / (m2 - m1))
-    validated = all(abs(rec["residual"]) <= constant * rec["m"] for rec in records[2:])
-    return {
-        "n": n,
-        "constant": constant,
-        "validated": validated,
-        "records": records,
     }

@@ -10,7 +10,6 @@ inconclusive, never as "not big".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,17 +27,27 @@ COUNT_LIMIT = 10**6  # count of one entry
 ENTRIES_LIMIT = 16  # entries in "singularities"
 DIGITS_LIMIT = 100  # digits of p and of q in a rational p/q
 BYTES_LIMIT = 65536  # the file, read no further: the largest admitted config takes ~1.3 KB
+ECHO_LIMIT = 40  # characters of a rejected value that its error message repeats
+
+# (name, s2, singularities), each singularity an (n, count) pair
+Config = tuple[str, Fraction, tuple[tuple[int, int], ...]]
 
 
 class ConfigError(ValueError):
     """Malformed surface configuration."""
 
 
-@dataclass(frozen=True)
-class SurfaceConfig:
-    name: str
-    s2: Fraction
-    singularities: tuple[tuple[int, int], ...]  # (n, count)
+def _shown(value) -> str:
+    """repr(value), cut to its first ECHO_LIMIT characters plus its length
+    when longer, so that an error message stays one short line.  A long
+    integer is named by its bit length: past the int-to-str digit limit,
+    repr() would raise."""
+    if isinstance(value, int) and value.bit_length() > 3 * ECHO_LIMIT:
+        return f"an integer of {value.bit_length()} bits"
+    text = repr(value)
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 def _as_fraction(value) -> Fraction:
@@ -58,12 +67,13 @@ def _as_fraction(value) -> Fraction:
                 raise ConfigError(str(exc)) from exc
     raise ConfigError(
         f"expected an integer or a string 'p' or 'p/q' of at most {DIGITS_LIMIT} digits each,"
-        f" got {value!r}"
+        f" got {_shown(value)}"
     )
 
 
-def config_from_dict(data: dict) -> SurfaceConfig:
-    """Validate and normalize a configuration mapping.
+def config_from_dict(data: dict) -> Config:
+    """Validate and normalize a configuration mapping into (name, s2,
+    singularities).
 
     Either ``s2`` or both of ``c1sq`` and ``c2`` must be present; when all
     three appear they must satisfy s2 = c1sq - c2.  Only type-A singularities
@@ -94,22 +104,22 @@ def config_from_dict(data: dict) -> SurfaceConfig:
     singularities = []
     for entry in entries:
         if not isinstance(entry, dict):
-            raise ConfigError(f"singularity entries must be objects, got {entry!r}")
+            raise ConfigError(f"singularity entries must be objects, got {_shown(entry)}")
         kind = entry.get("type", "A")
         if kind != "A":
-            raise ConfigError(f"unknown singularity type {kind!r}: only A_n is supported")
+            raise ConfigError(f"unknown singularity type {_shown(kind)}: only A_n is supported")
         n = entry.get("n")
         count = entry.get("count")
         # bool is a subclass of int: reject it, or true would read as 1
         if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= N_LIMIT:
-            raise ConfigError(f"singularity index n must be an integer in 1..{N_LIMIT}, got {n!r}")
+            raise ConfigError(f"singularity index n must be an integer in 1..{N_LIMIT}, got {_shown(n)}")
         if not isinstance(count, int) or isinstance(count, bool) or not 1 <= count <= COUNT_LIMIT:
-            raise ConfigError(f"count must be an integer in 1..{COUNT_LIMIT}, got {count!r}")
+            raise ConfigError(f"count must be an integer in 1..{COUNT_LIMIT}, got {_shown(count)}")
         singularities.append((n, count))
-    return SurfaceConfig(name=name, s2=s2, singularities=tuple(singularities))
+    return name, s2, tuple(singularities)
 
 
-def load_config(path: str | Path) -> SurfaceConfig:
+def load_config(path: str | Path) -> Config:
     try:
         with open(path, "rb") as handle:
             raw = handle.read(BYTES_LIMIT + 1)
@@ -130,21 +140,22 @@ VERDICT_BIG = "big (criterion satisfied)"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
 
-def evaluate_criterion(cfg: SurfaceConfig) -> dict:
+def evaluate_criterion(cfg: Config) -> dict:
     """Exact criterion total T = sum(count * h1_omega(n)) + s2/6 and verdict.
 
     Each h1_omega(n) is read off the exact Basel partial sum B(n); one pass
     of the sums up to the largest n serves every entry.
     """
-    wanted = {n for n, _ in cfg.singularities}
+    name, s2, singularities = cfg
+    wanted = {n for n, _ in singularities}
     basel = {n: b for n, b in enumerate(_basel_sums(max(wanted, default=0)), start=1) if n in wanted}
     localized = sum(
-        (count * _rate(_h1_terms(n), basel[n]) for n, count in cfg.singularities), Fraction(0)
+        (count * _rate(_h1_terms(n), basel[n]) for n, count in singularities), Fraction(0)
     )
-    chern_term = cfg.s2 / 6
+    chern_term = s2 / 6
     total = localized + chern_term
     return {
-        "name": cfg.name,
+        "name": name,
         "localized": localized,
         "chern_term": chern_term,
         "total": total,

@@ -2,8 +2,8 @@
 
 Every value in this package is an exact rational.  Rationals are stdlib
 ``fractions.Fraction`` (always reduced, denominator positive, canonical zero
-0/1); this module adds the "p/q" string codec, mathematical floor/ceil of
-integer ratios, cyclotomic polynomials, field arithmetic modulo Phi_N, and
+0/1); this module adds the "p/q" string codec, the ceiling of an integer
+ratio, cyclotomic polynomials, field arithmetic modulo Phi_N, and
 branch-evaluated quasi-polynomials.  The cyclotomic field Q(zeta_N) is on no
 runtime path: it backs the test oracle that evaluates the group average mu
 the long way.  Floating point never enters except through explicit
@@ -48,18 +48,10 @@ def format_rational(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def floor_ratio(a: int, b: int) -> int:
-    """floor(a/b) toward minus infinity; b may be negative but not zero."""
-    if b == 0:
-        raise ZeroDivisionError("floor_ratio with zero denominator")
-    if b < 0:
-        a, b = -a, -b
-    return a // b
-
-
 def ceil_ratio(a: int, b: int) -> int:
-    """ceil(a/b) toward plus infinity; ceil(-5/4) == -1."""
-    return -floor_ratio(-a, b)
+    """ceil(a/b) toward plus infinity, for b of either sign; ceil(-5/4) == -1.
+    ``//`` floors for either sign of b and raises ZeroDivisionError at 0."""
+    return -(-a // b)
 
 
 def euler_phi(n: int) -> int:

@@ -55,8 +55,3 @@ def extends_holomorphically(t: TripleIndex) -> bool:
     if not t.is_admissible():
         raise ValueError(f"triple outside the admissible block range: {t}")
     return all(offset >= t.m for offset in pole_profile(t))
-
-
-def divisor_record(n: int, m: int) -> dict:
-    """JSON-able record of the divisor coefficients."""
-    return {"n": n, "m": m, "coefficients": list(divisor_D(n, m))}

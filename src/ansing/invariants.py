@@ -127,14 +127,3 @@ def _leading_ratios() -> tuple[tuple[int, float], ...]:
     """6*h1_omega(n)/n in float at n = 1000 and 10000; input-independent."""
     return tuple((n, 6 * h1_omega_float(n) / n) for n in (1000, 10000))
 
-
-def invariant_record(n: int, m: int) -> dict:
-    """The standard JSON-able record for one (n, m)."""
-    return {
-        "n": n,
-        "m": m,
-        "mu": mu(n, m),
-        "chi_orb": chi_orb(n, m),
-        "hsum": hsum(n, m),
-        "h1": h1(n, m),
-    }

@@ -94,18 +94,3 @@ def fit(
             return QuasiPolynomial(period, tuple(branches))
     raise NoPeriodFitsError(f"no period <= {max_period} fits the samples")
 
-
-def coefficient_report(qp: QuasiPolynomial) -> dict:
-    """Per-degree coefficient sets across branches; flags branch-independent degrees."""
-    degrees = []
-    constant_degrees = []
-    for k in range(qp.degree + 1):
-        values = sorted({branch[k] for branch in qp.branches})
-        degrees.append({"degree": k, "coefficients": values})
-        if len(values) == 1:
-            constant_degrees.append(k)
-    return {
-        "period": qp.period,
-        "by_degree": degrees,
-        "constant_degrees": constant_degrees,
-    }

@@ -7,13 +7,7 @@ explicitly allows a floating-point gap.
 
 from fractions import Fraction as F
 
-from ansing.asymptotics import (
-    h0_asymptotic_check,
-    h0_omega,
-    h0_omega_float,
-    h0_omega_limit_float,
-    integral_vs_sum_report,
-)
+from ansing.asymptotics import h0_omega, h0_omega_float, h0_omega_limit_float
 from ansing.bigness import (
     VERDICT_BIG,
     VERDICT_INCONCLUSIVE,
@@ -27,6 +21,7 @@ from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples, parity_holds
 from ansing.oracle import hsum_oracle, hsum_oracle_triple
 from ansing.quasifit import NoPeriodFitsError, fit
+from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
 from cyclo_oracle import mu_coordinates
 from divisor_oracle import divisor_D_bruteforce, divisor_D_case_formula
 from general_position import general_position_check

@@ -6,75 +6,70 @@ import pytest
 
 from ansing import asymptotics
 from ansing.asymptotics import (
-    AffineWeight,
-    PolygonPiece,
-    h0_asymptotic_check,
     h0_omega,
     h0_omega_float,
     h0_omega_limit_float,
     h0_omega_limit_report,
-    integral_vs_sum_check,
-    integral_vs_sum_report,
     integrate_piece,
     pieces,
     upper_integral,
     _increasing_to,
 )
-from ansing.latticesum import hsum
 from ansing.quasifit import _interpolate
+from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
 from lattice_oracle import weight
 
 
-def _piece(vertices, weight_form, m=0):
-    return PolygonPiece(0, m, tuple((F(x), F(y)) for x, y in vertices), weight_form)
+def _vertices(points):
+    return tuple((F(x), F(y)) for x, y in points)
+
+
+def _value(weight_form, x, y, m):
+    a, b, c, d = weight_form
+    return a * x + b * y + c * m + d
 
 
 def test_integrate_unit_triangle():
-    p = _piece([(0, 0), (1, 0), (0, 1)], AffineWeight(F(1), F(0), F(0), F(0)))
-    assert integrate_piece(p) == F(1, 6)
+    assert integrate_piece(_vertices([(0, 0), (1, 0), (0, 1)]), (1, 0, 0, 0), 0) == F(1, 6)
 
 
 def test_integrate_unit_square():
-    p = _piece(
-        [(0, 0), (1, 0), (1, 1), (0, 1)], AffineWeight(F(0), F(0), F(0), F(1))
-    )
-    assert integrate_piece(p) == 1
+    assert integrate_piece(_vertices([(0, 0), (1, 0), (1, 1), (0, 1)]), (0, 0, 0, 1), 0) == 1
 
 
 def test_integrate_orientation_independent():
-    w = AffineWeight(F(1), F(2), F(0), F(3))
-    ccw = _piece([(0, 0), (2, 0), (2, 1), (0, 1)], w)
-    cw = _piece([(0, 0), (0, 1), (2, 1), (2, 0)], w)
-    assert integrate_piece(ccw) == integrate_piece(cw)
+    w = (F(1), F(2), F(0), F(3))
+    ccw = _vertices([(0, 0), (2, 0), (2, 1), (0, 1)])
+    cw = _vertices([(0, 0), (0, 1), (2, 1), (2, 0)])
+    assert integrate_piece(ccw, w, 0) == integrate_piece(cw, w, 0)
 
 
 def test_piece_vertices_and_weights():
     n, m = 2, 6
     ps = pieces(n, m)
-    assert [p.label for p in ps] == [0, 1, 2, 3]
-    p0 = ps[0]
+    assert len(ps) == n + 2
+    verts0, w0 = ps[0]
     # right base vertex of the first piece sits at ((m n - 2)/(n + 2), 0)
-    assert (F(m * n - 2, n + 2), F(0)) in p0.vertices
-    assert p0.weight.value_at(F(0), F(m, n + 1), m) == 1
+    assert (F(m * n - 2, n + 2), F(0)) in verts0
+    assert _value(w0, F(0), F(m, n + 1), m) == 1
     # the assembly piece vanishes at the top corner (0, (m+2)/(n+1))
-    top = ps[-1]
-    assert top.weight.value_at(F(0), F(m + 2, n + 1), m) == 0
+    _, top = ps[-1]
+    assert _value(top, F(0), F(m + 2, n + 1), m) == 0
 
 
 def test_piece_weights_nonnegative_at_vertices():
     for n in (1, 2, 3, 4):
         for m in (3, 7, 12):
-            for p in pieces(n, m):
-                for x, y in p.vertices:
-                    assert p.weight.value_at(x, y, m) >= 0
+            for verts, w in pieces(n, m):
+                for x, y in verts:
+                    assert _value(w, x, y, m) >= 0
 
 
 def test_piece_weights_match_lattice_weight_at_interior_points():
     # at integer points strictly inside one piece the affine form must equal
     # the lattice weight (where parity holds)
     for n, m in ((1, 8), (2, 6), (3, 9)):
-        for p in pieces(n, m):
-            verts = p.vertices
+        for verts, w in pieces(n, m):
             if len(verts) < 3:
                 continue
             cx = sum(x for x, _ in verts) / len(verts)
@@ -87,9 +82,7 @@ def test_piece_weights_match_lattice_weight_at_interior_points():
                 if (cand[0] + (n + 1) * cand[1] - m) % 2 == 0 and _inside(
                     verts, cand
                 ):
-                    assert weight(n, m, cand) == p.weight.value_at(
-                        F(cand[0]), F(cand[1]), m
-                    )
+                    assert weight(n, m, cand) == _value(w, F(cand[0]), F(cand[1]), m)
                     break
 
 
@@ -110,11 +103,11 @@ def _inside(vertices, point):
 def test_piece0_against_riemann_refinement():
     # midpoint Riemann sum over a fine grid, compared to three decimal digits
     n, m = 1, 4
-    p0 = pieces(n, m)[0]
-    exact = integrate_piece(p0)
+    verts0, w0 = pieces(n, m)[0]
+    exact = integrate_piece(verts0, w0, m)
     steps = 160
-    xs = [x for x, _ in p0.vertices]
-    ys = [y for _, y in p0.vertices]
+    xs = [x for x, _ in verts0]
+    ys = [y for _, y in verts0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     dx = (x_hi - x_lo) / steps
@@ -124,8 +117,8 @@ def test_piece0_against_riemann_refinement():
         for iy in range(steps):
             cx = x_lo + dx * ix + dx / 2
             cy = y_lo + dy * iy + dy / 2
-            if _inside(p0.vertices, (cx, cy)):
-                total += p0.weight.value_at(cx, cy, m)
+            if _inside(verts0, (cx, cy)):
+                total += _value(w0, cx, cy, m)
     riemann = total * dx * dy
     assert abs(riemann - exact) < F(1, 1000)
 
@@ -133,13 +126,10 @@ def test_piece0_against_riemann_refinement():
 def test_pieces_tile_the_upper_polygon_exactly():
     # unit-weight integrals of the pieces must add up to the area of the
     # quadrilateral hull {x1 >= 0, x2 >= 0, x1-(n-1)x2 <= m, -x1+(n+1)x2 <= m+2}
-    unit = AffineWeight(F(0), F(0), F(0), F(1))
+    unit = (F(0), F(0), F(0), F(1))
     for n in (1, 2, 3, 4):
         for m in (2, 5, 9):
-            total = sum(
-                integrate_piece(PolygonPiece(p.label, p.m, p.vertices, unit))
-                for p in pieces(n, m)
-            )
+            total = sum(integrate_piece(verts, unit, m) for verts, _ in pieces(n, m))
             hull = [
                 (F(0), F(0)),
                 (F(m), F(0)),
@@ -193,8 +183,8 @@ def test_piece_vertices_lie_in_the_closed_quadrant():
     # pieces clips to x1 >= 0 only; x2 >= 0 holds by construction
     for n in range(1, 41):
         for m in range(0, 81):
-            for piece in pieces(n, m):
-                assert all(x1 >= 0 and x2 >= 0 for x1, x2 in piece.vertices), (n, m, piece.label)
+            for label, (verts, _) in enumerate(pieces(n, m)):
+                assert all(x1 >= 0 and x2 >= 0 for x1, x2 in verts), (n, m, label)
 
 
 def test_h0_omega_values():
@@ -329,15 +319,6 @@ def test_h0_asymptotic_check_residual_zero_at_zero():
     report = h0_asymptotic_check(1, [0, 6, 12, 18])
     assert report["samples"][0]["residual"] == 0
     assert report["bounded"]
-
-
-def test_integral_vs_sum_check_records():
-    rec = integral_vs_sum_check(2, 6)
-    assert rec["hsum"] == 44
-    assert rec["residual"] == rec["hsum"] - rec["integral"]
-    # degenerate end of the range: the n = 1 polygon vanishes at m = 0
-    rec0 = integral_vs_sum_check(1, 0)
-    assert rec0["hsum"] == 0 and rec0["integral"] == 0
 
 
 def test_integral_vs_sum_report_validates():

@@ -111,6 +111,12 @@ PINNED_OUTPUT = [
     (("polygon", "--n", "2", "--m", "3", "--csv"), 0, 'label,vertices,weight_x1,weight_x2,weight_m,weight_const\n0,"[[""0"", ""1""], [""1"", ""2/3""], [""1"", ""0""], [""0"", ""0""]]",1,0,0,1\n1,"[[""1"", ""2/3""], [""5/3"", ""4/3""], [""3"", ""0""], [""1"", ""0""]]",-1,0,1,0\n2,"[[""5/3"", ""4/3""], [""7"", ""4""], [""3"", ""0""]]",-1/2,1/2,1/2,0\n3,"[[""0"", ""5/3""], [""7"", ""4""], [""5/3"", ""4/3""], [""1"", ""2/3""], [""0"", ""1""]]",1/2,-3/2,1/2,1\n', ""),
     (("fit", "--n", "1"), 0, '{"n": 1, "degree": 3, "max_period": 12, "m_to": 71, "period": 6, "branches": [["0", "1/6", "11/36", "11/108"], ["-35/108", "-1/12", "11/36", "11/108"], ["5/27", "7/18", "11/36", "11/108"], ["-1/4", "-1/12", "11/36", "11/108"], ["-2/27", "1/6", "11/36", "11/108"], ["-7/108", "5/36", "11/36", "11/108"]]}\n', ""),
     (("fit", "--n", "3"), 3, "", '{"error": "no period <= 12 fits the samples"}\n'),
+    (("h1", "--n", "2", "--m", "2"), 0, '{"n": 2, "m": 2, "mu": "0", "chi_orb": "-10", "hsum": 3, "h1": "7", "integral_and_nonnegative": true}\n', ""),
+    (("integral-check", "--n", "2", "--m", "6"), 0, '{"n": 2, "m": 6, "hsum": 44, "integral": "9695/216", "residual": "-191/216"}\n', ""),
+    # the n = 1 polygon vanishes at m = 0
+    (("integral-check", "--n", "1", "--m", "0"), 0, '{"n": 1, "m": 0, "hsum": 0, "integral": "0", "residual": "0"}\n', ""),
+    (("hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", "3"), 0, '{"n": 2, "rows": [{"m": 0, "hsum": 0, "mu": "2/9", "chi_orb": "2/9", "h1": "0"}, {"m": 1, "hsum": 0, "mu": "-2/9", "chi_orb": "-20/9", "h1": "2"}, {"m": 2, "hsum": 3, "mu": "0", "chi_orb": "-10", "h1": "7"}, {"m": 3, "hsum": 8, "mu": "2/9", "chi_orb": "-232/9", "h1": "18"}]}\n', ""),
+    (("hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", "3", "--csv"), 0, "m,hsum,mu,chi_orb,h1\n0,0,2/9,2/9,0\n1,0,-2/9,-20/9,2\n2,3,0,-10,7\n3,8,2/9,-232/9,18\n", ""),
 ]
 
 
@@ -145,6 +151,30 @@ def test_bigness_verb(capsys, tmp_path):
     assert payload["verdict"] == "big (criterion satisfied)"
 
 
+@pytest.mark.parametrize(
+    "flags, stdout",
+    [
+        ((), '{"name": "demo", "localized": "2483/1350", "chern_term": "-1/15", "total": "2393/1350", "verdict": "big (criterion satisfied)"}\n'),
+        (("--csv",), "name,localized,chern_term,total,verdict\ndemo,2483/1350,-1/15,2393/1350,big (criterion satisfied)\n"),
+    ],
+    ids=["json", "csv"],
+)
+def test_bigness_prints_the_pinned_bytes(capsys, tmp_path, flags, stdout):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "name": "demo",
+                "c1sq": "9",
+                "c2": "47/5",
+                "singularities": [{"n": 1, "count": 6}, {"n": 3, "count": 2}],
+            }
+        )
+    )
+    assert cli.run(["bigness", "--config", str(cfg), "--no-timestamp", *flags]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_bigness_unreadable_config_exits_2(capsys, tmp_path):
     code, captured = run_raw(
         capsys, ["bigness", "--config", str(tmp_path / "nope.json"), "--no-timestamp"]
@@ -165,6 +195,23 @@ def test_bigness_malformed_config_exits_2(capsys, tmp_path):
         assert code == 2
         assert captured.out == ""
         assert "error" in json.loads(captured.err)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"s2": "1" * 60_000},
+        {"s2": "1", "singularities": [{"type": "D" * 60_000, "n": 1, "count": 1}]},
+    ],
+    ids=["s2", "type"],
+)
+def test_config_errors_echo_a_bounded_prefix(capsys, tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, captured = run_raw(capsys, ["bigness", "--config", str(cfg)])
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 1024
+    assert "(60002 characters)" in json.loads(captured.err)["error"]
 
 
 @pytest.mark.parametrize(
@@ -626,16 +673,16 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 
 @pytest.fixture
 def free_kernels(monkeypatch):
-    """hsum, the oracle, the integral check, the polygon pieces, the divisor
+    """hsum, the oracle, the exact integral, the polygon pieces, the divisor
     and the limit reports as constants in the CLI's namespace: the tests below check
     which arguments the bounds admit, not what those arguments cost.  omega
     runs for real, since what its bound guards is the printing of its exact
     rates."""
     monkeypatch.setattr(cli.latticesum, "hsum", lambda n, m: 0)
     monkeypatch.setattr(cli.oracle, "hsum_oracle", lambda n, m: 0)
-    monkeypatch.setattr(cli.asymptotics, "integral_vs_sum_check", lambda n, m: {"n": n, "m": m})
+    monkeypatch.setattr(cli.asymptotics, "upper_integral", lambda n, m: 0)
     monkeypatch.setattr(cli.asymptotics, "pieces", lambda n, m: [])
-    monkeypatch.setattr(cli.extension, "divisor_record", lambda n, m: {"n": n, "m": m})
+    monkeypatch.setattr(cli.extension, "divisor_D", lambda n, m: ())
     monkeypatch.setattr(cli.asymptotics, "h0_omega_limit_report", lambda n_max: {})
     monkeypatch.setattr(cli.invariants, "h1_omega_limit_report", lambda n_max: {})
 

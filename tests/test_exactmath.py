@@ -12,7 +12,6 @@ from ansing.exactmath import (
     ceil_ratio,
     cyclotomic_polynomial,
     euler_phi,
-    floor_ratio,
     format_rational,
     parse_rational,
 )
@@ -42,11 +41,12 @@ def test_rational_arithmetic_basics():
 def test_ratio_floor_ceil():
     assert ceil_ratio(5, 4) == 2
     assert ceil_ratio(-5, 4) == -1
-    assert floor_ratio(-5, 4) == -2
-    assert floor_ratio(5, -4) == -2
     assert ceil_ratio(8, 4) == 2
+    for a in range(-30, 31):
+        for b in (*range(-7, 0), *range(1, 8)):
+            assert ceil_ratio(a, b) == math.ceil(F(a, b)), (a, b)
     with pytest.raises(ZeroDivisionError):
-        floor_ratio(1, 0)
+        ceil_ratio(1, 0)
 
 
 def test_rational_string_codec():

@@ -4,7 +4,6 @@ import pytest
 
 from ansing.extension import (
     divisor_D,
-    divisor_record,
     extends_holomorphically,
     pole_profile,
 )
@@ -122,8 +121,3 @@ def test_weight_vanishes_at_extension_threshold():
             for x1 in range(n * m, n * m + n + 3):
                 for x2 in range(-(m + 2), m + 3):
                     assert weight(n, m, (x1, x2)) == 0
-
-
-def test_divisor_record_shape():
-    rec = divisor_record(3, 5)
-    assert rec == {"n": 3, "m": 5, "coefficients": [2, 3, 2]}

@@ -12,7 +12,6 @@ from ansing.invariants import (
     h1_omega,
     h1_omega_float,
     h1_omega_limit_report,
-    invariant_record,
     local_c2,
     mu,
 )
@@ -252,12 +251,6 @@ def test_h1_asymptotic_consistency():
         target = h1_omega(n)
         gaps = {m: abs(h1(n, m) / m**3 - target) for m in (12, 24, 48)}
         assert gaps[48] * 48 <= max(gaps[12] * 12, gaps[24] * 24) + 1
-
-
-def test_invariant_record_consistency():
-    rec = invariant_record(2, 2)
-    assert rec["h1"] == rec["mu"] - rec["chi_orb"] - rec["hsum"]
-    assert rec["n"] == 2 and rec["m"] == 2
 
 
 def test_input_validation():

@@ -4,12 +4,7 @@ import pytest
 
 from ansing.exactmath import QuasiPolynomial
 from ansing.latticesum import hsum
-from ansing.quasifit import (
-    InsufficientSamplesError,
-    NoPeriodFitsError,
-    coefficient_report,
-    fit,
-)
+from ansing.quasifit import InsufficientSamplesError, NoPeriodFitsError, fit
 
 EXAMPLE1_BRANCHES = (
     (F(0), F(1, 12), F(29, 72), F(29, 216)),
@@ -87,6 +82,22 @@ def test_request_validation():
         fit(((0, F(1)),), -1, 2)
     with pytest.raises(ValueError, match="^max_period must be >= 1$"):
         fit(((0, F(1)),), 1, 0)
+
+
+def coefficient_report(qp: QuasiPolynomial) -> dict:
+    """Per-degree coefficient sets across branches; flags branch-independent degrees."""
+    degrees = []
+    constant_degrees = []
+    for k in range(qp.degree + 1):
+        values = sorted({branch[k] for branch in qp.branches})
+        degrees.append({"degree": k, "coefficients": values})
+        if len(values) == 1:
+            constant_degrees.append(k)
+    return {
+        "period": qp.period,
+        "by_degree": degrees,
+        "constant_degrees": constant_degrees,
+    }
 
 
 def test_coefficient_report_example1():
