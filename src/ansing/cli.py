@@ -1,5 +1,9 @@
 """Command-line surface: one verb per computation, JSON (default) or CSV out.
 
+A table-driven front end: _VERBS names each verb's handler and the flags it
+reads, _FLAGS each flag's type and default, and the parser built from the
+two reads argv in one pass (the grammar is in _Parser's docstring).
+
 Exit codes: 0 success, 2 invalid input, 3 verification failure (formula vs
 oracle mismatch, integrality failure, or an unfittable sequence).  Every
 exit 2, a usage error included, prints one JSON object {"error": ...} on
@@ -12,7 +16,6 @@ cache.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import datetime
 import functools
@@ -24,6 +27,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import asymptotics, bigness, extension, invariants, latticesum, oracle, quasifit
 from .exactmath import format_rational
@@ -385,32 +389,128 @@ _FLAGS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are CliInputError, not an exit
-    with usage text, so they reach stderr as JSON like every other error."""
+# the output switches every verb takes besides its own flags
+_SWITCHES = ("--csv", "--json", "--no-timestamp")
+# a negative number (`$` also matches before a final newline) is a value, not a flag
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message: str):
-        raise CliInputError(message)
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _reads_as_flag(token: str, options: dict) -> bool:
+    """Whether `token` is a flag rather than a value.
+
+    A token that starts with "-", other than "-" alone, is a flag unless it
+    is a negative number or contains a space; even then it is a flag if the
+    part before its first "=" is one of `options`, or if it starts with
+    "-h" (read as -h followed by a value).
+    """
+    return (
+        token[:1] == "-"
+        and token != "-"
+        and (
+            token.partition("=")[0] in options
+            or token.startswith("-h")
+            or not (" " in token or _NEGATIVE.match(token))
+        )
+    )
+
+
+class _Parser:
+    """The argv grammar, read off _VERBS and _FLAGS in one pass.
+
+    argv[0] names the verb (before it, -h/--help is the only flag read).
+    Every later token is one of the verb's flags with its value, as
+    `--flag value` or `--flag=value` (the last of a repeated flag wins),
+    one of _SWITCHES, or -h/--help, which prints the usage and exits 0.
+    A malformed or missing value is a usage error (CliInputError) at once;
+    a token no flag reads is one after the scan, so that a later --help
+    still prints the usage.
+    """
+
+    def __init__(self) -> None:
+        help_options = dict.fromkeys(("-h", "--help"), (None, None))
+        switches = {switch: (_dest(switch), None) for switch in _SWITCHES}
+        self._verbs = {}  # verb -> (options, namespace defaults, usage)
+        for verb, (handler, flags) in _VERBS.items():
+            options = {flag: (_dest(flag), _FLAGS[flag][0]) for flag in flags}
+            defaults = (
+                {"verb": verb, "handler": handler}
+                | {_dest(flag): _FLAGS[flag][1] for flag in flags}
+                | dict.fromkeys(map(_dest, _SWITCHES), False)
+            )
+            usage = " ".join(
+                ["ansing", verb]
+                + [f"[{flag} {_dest(flag).upper()}]" for flag in flags]
+                + [f"[{switch}]" for switch in _SWITCHES]
+            )
+            self._verbs[verb] = (options | switches | help_options, defaults, usage)
+        lines = [spec[2] for spec in self._verbs.values()]
+        self._top = (help_options, "\n       ".join(lines))
+
+    def parse_args(self, argv: list[str]) -> SimpleNamespace:
+        """The namespace `argv` names: verb, handler, one attribute per flag
+        of the verb and one per switch."""
+        args = None
+        options, usage = self._top
+        strays = []  # tokens no flag reads
+        tokens = iter(argv)
+        for token in tokens:
+            if token == "--":  # ends the flags: every later token is a stray
+                strays += [token, *tokens]
+                break
+            if not _reads_as_flag(token, options):
+                if args is not None:
+                    strays.append(token)
+                    continue
+                if token not in self._verbs:
+                    choices = ", ".join(map(repr, self._verbs))
+                    raise CliInputError(
+                        f"argument verb: invalid choice: {token!r} (choose from {choices})"
+                    )
+                options, defaults, usage = self._verbs[token]
+                args = SimpleNamespace(**defaults)
+                continue
+            flag, value = token, None
+            if token not in options:
+                flag, eq, value = token.partition("=")
+                if not (eq and flag in options):
+                    if not token.startswith("-h"):
+                        strays.append(token)
+                        continue
+                    flag, value = "-h", token[2:]
+            dest, kind = options[flag]
+            if kind is None:  # a switch or -h/--help
+                if value is not None:
+                    raise CliInputError(f"argument {flag}: ignored explicit argument {value!r}")
+                if dest is None:
+                    sys.stdout.write(f"usage: {usage}\n")
+                    raise SystemExit(0)
+                setattr(args, dest, True)
+                continue
+            if value is None:
+                value = next(tokens, "--")  # a missing value, like "--", is no value
+                if value == "--" or _reads_as_flag(value, options):
+                    raise CliInputError(f"argument {flag}: expected one argument")
+            try:
+                setattr(args, dest, kind(value))
+            except ValueError:
+                raise CliInputError(
+                    f"argument {flag}: invalid {kind.__name__} value: {value!r}"
+                ) from None
+        if args is None:
+            raise CliInputError("the following arguments are required: verb")
+        if strays:
+            raise CliInputError(f"unrecognized arguments: {' '.join(strays)}")
+        return args
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The argument parser, built once per process and reused by every run."""
-    parser = _Parser(
-        prog="ansing",
-        description="Exact invariants of A_n surface singularities.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (handler, flags) in _VERBS.items():
-        p = sub.add_parser(verb, allow_abbrev=False)
-        p.set_defaults(handler=handler)
-        for flag in flags:
-            kind, default = _FLAGS[flag]
-            p.add_argument(flag, type=kind, default=default)
-        p.add_argument("--csv", action="store_true")
-        p.add_argument("--json", action="store_true", help="JSON output (the default)")
-        p.add_argument("--no-timestamp", action="store_true")
-    return parser
+    return _Parser()
 
 
 def _csv_rows(payload: dict) -> list[dict]:
@@ -474,8 +574,8 @@ def _run(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         payload, code = args.handler(args)
-    except SystemExit as exc:  # --help, after printing the usage
-        return int(exc.code) if exc.code else 0
+    except SystemExit:  # --help, after printing the usage
+        return 0
     except (CliInputError, bigness.ConfigError, InsufficientSamplesError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

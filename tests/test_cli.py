@@ -546,6 +546,17 @@ print(code, loaded, file=sys.stderr)
     assert result.stderr == "0 []\n"
 
 
+def test_cli_imports_no_argument_parser():
+    script = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import ansing.cli
+print([name for name in ("argparse", "gettext") if name in sys.modules], file=sys.stderr)
+"""
+    result = subprocess.run([sys.executable, "-I", "-c", script], capture_output=True, text=True)
+    assert result.stderr == "[]\n"
+
+
 def _cli_process(argv, int_digits=None):
     env = {key: val for key, val in os.environ.items() if key != "PYTHONINTMAXSTRDIGITS"}
     env["PYTHONPATH"] = str(SRC)
@@ -634,8 +645,15 @@ def _assert_json_usage_error(capsys, argv):
         ["frobnicate"],
         [],
         ["hsum", "--n", "2", "--m", "3", "--bogus", "1"],
+        ["--he"],
+        ["--h"],
+        ["hsum", "--n=--", "--m", "3"],
+        ["bigness", "--config=--"],
     ],
-    ids=["bad-int", "unknown-verb", "no-verb", "unknown-flag"],
+    ids=[
+        "bad-int", "unknown-verb", "no-verb", "unknown-flag", "abbreviated-help",
+        "abbreviated-help-h", "int-equals-double-dash", "path-equals-double-dash",
+    ],
 )
 def test_usage_errors_exit_2_with_json_error(capsys, argv):
     _assert_json_usage_error(capsys, argv)
@@ -664,11 +682,20 @@ def test_every_verb_takes_the_output_flags_after_its_own(capsys):
         assert args.csv and args.json and args.no_timestamp
 
 
+HSUM_USAGE = "ansing hsum [--n N] [--m M] [--csv] [--json] [--no-timestamp]"
+
+
 def test_help_still_prints_usage_and_exits_0(capsys):
     code, captured = run_raw(capsys, ["hsum", "--help"])
     assert code == 0
-    assert captured.out.startswith("usage: ansing hsum")
+    assert captured.out == f"usage: {HSUM_USAGE}\n"
     assert captured.err == ""
+    # before a verb: one usage line per verb
+    code, captured = run_raw(capsys, ["--help"])
+    assert code == 0 and captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0] == f"usage: {HSUM_USAGE}"
+    assert [line.split("ansing ")[1].split()[0] for line in lines] == list(cli._VERBS)
 
 
 @pytest.fixture

@@ -10,14 +10,18 @@ limits --n <= 500; --parallel goes up to 64, since a sweep starts no
 process.  A second property draws the bigness config file itself: the
 rationals in every accepted and rejected form, n and count at and past
 their bounds, and entry lists around their bound.  Files only ever go to a
-temporary directory.  Needs hypothesis (the ``test`` extra); the module is
-skipped without it.
+temporary directory.  A third property holds the CLI's parser to the
+argparse parser it replaced (``argparse_oracle``): for every argv drawn, and
+for a fixed corpus of argparse's corner cases, both accept it with equal
+values, both reject it, or both print the usage.  Needs hypothesis (the
+``test`` extra); the module is skipped without it.
 """
 
 import contextlib
 import functools
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -28,6 +32,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ansing import asymptotics, bigness, cli  # noqa: E402
+from argparse_oracle import build_parser as reference_parser  # noqa: E402
 
 VERBS = [
     "hsum", "hsum-sweep", "oracle-verify", "omega", "mu", "chi-orb", "h1",
@@ -97,6 +102,143 @@ def test_cli_contract_holds_for_any_argv(argv):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())
         assert isinstance(error, dict) and list(error) == ["error"]
+
+
+@contextlib.contextmanager
+def _digit_limit(digits: int):
+    """The int-to-str limit `cli.run` pins, around a bare parse_args call."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _parse_outcome(parser, argv):
+    """("accept", the namespace's values), ("reject",) or ("help",)."""
+    with _digit_limit(4300), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            return "accept", vars(parser.parse_args(list(argv)))
+        except SystemExit:
+            return ("help",)
+        except cli.CliInputError:
+            return ("reject",)
+
+
+# argparse's corners, each a place where a one-pass reader could go wrong
+PARSER_CORPUS = [
+    ["hsum", "--n=2", "--m", "3"],
+    ["hsum", "--n=", "--m", "3"],
+    ["hsum", "--n=-1"],
+    ["hsum-sweep", "--cache="],
+    ["hsum", "--n", "-"],
+    ["hsum", "-"],
+    ["-", "hsum"],
+    ["hsum", "--n", "-1"],
+    ["hsum", "--n", "-.5"],
+    ["hsum", "--n", "-1 2"],
+    ["hsum", "--n", "-0x1"],
+    ["hsum", "--n", "-1\n"],  # a negative number by argparse's `$`
+    ["hsum", "-hx"],
+    ["hsum", "-h x"],
+    ["hsum-sweep", "--cache", "-h x"],
+    ["hsum-sweep", "--cache", "--n=a b"],  # a flag of the verb, so no value
+    ["hsum-sweep", "--cache", "--m=a b"],  # not a flag of the verb: a value
+    ["hsum-sweep", "--cache", "--foo bar"],
+    ["--"],
+    ["hsum", "--"],
+    ["hsum", "--n", "2", "--"],
+    ["hsum", "--", "--help"],
+    ["--", "hsum", "--n", "2"],
+    ["hsum", "--csv=1"],
+    ["hsum", "--csv="],
+    ["--help=x"],
+    ["hsum", "--n", "2", "--m", "3", "--n", "5", "--m", "4"],
+    ["hsum-sweep", "--n", "2", "--cache", "-"],
+    ["hsum-sweep", "--n", "2", "--cache", "--csv"],
+    ["hsum", "--n", "2", "--m", "1" * 4301],
+    ["--help", "hsum", "--n", "2"],
+    ["-h"],
+    ["hsum", "--n", "2", "--help", "--m", "x"],
+    ["hsum", "--n", "x", "--help"],
+    ["hsum", "--n", "2", "--m", "3", "--help"],
+    ["hsum", "--bogus", "--help"],
+    ["hsum", "stray", "-h"],
+    ["--csv", "--help"],
+    ["--bogus", "hsum", "--help"],
+    ["--bogus", "hsum", "--n", "2"],
+    ["stray", "--help"],
+    ["--he"],
+    ["--h"],
+    ["hsum", "--he"],
+    ["-1", "hsum"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=[repr(argv)[:48] for argv in PARSER_CORPUS])
+def test_parser_agrees_with_argparse_on_its_corners(argv):
+    assert _parse_outcome(cli.build_parser(), argv) == _parse_outcome(reference_parser(), argv)
+
+
+def test_bundled_help_is_a_usage_error():
+    # argparse read -hh and -h=h as -h given twice and printed the usage; the
+    # parser takes -h alone, like every other flag
+    for argv in (["hsum", "-hh"], ["hsum", "-h=h"]):
+        assert _parse_outcome(reference_parser(), argv) == ("help",)
+        assert _parse_outcome(cli.build_parser(), argv) == ("reject",)
+
+
+def test_double_dash_after_equals_is_the_value():
+    # argparse dropped the "--" of --n=-- and set n to [], which the verbs'
+    # checks met with a traceback; the parser reads "--" as the value
+    assert _parse_outcome(reference_parser(), ["hsum", "--n=--"])[1]["n"] == []
+    assert _parse_outcome(cli.build_parser(), ["hsum", "--n=--"]) == ("reject",)
+    assert _parse_outcome(cli.build_parser(), ["bigness", "--config=--"])[1]["config"] == "--"
+
+
+# tokens argvs() never draws: --help anywhere in an argv, and the = forms
+PARSER_TOKENS = [
+    "-h", "--help", "--he", "-hx", "-h x", "--help=", "--n=2", "--m=", "--n=-1",
+    "--cache=", "--config=a b", "--csv=1", "-1", "-.5", "-1 2", "-0x1", "--n=a b", "--x y",
+]
+
+
+@st.composite
+def own_flag_argvs(draw) -> list[str]:
+    """A verb with its own flags and the switches only, as `--flag value` or
+    `--flag=value`, so that most of these parse.  They are only parsed, so
+    a path may be junk or a flag too."""
+    verb = draw(st.sampled_from(VERBS))
+    tokens = [verb]
+    for _ in range(draw(st.integers(0, 5))):
+        flag = draw(st.sampled_from(cli._VERBS[verb][1]) | st.sampled_from(SWITCHES))
+        if flag in SWITCHES:
+            tokens.append(flag)
+            continue
+        value = draw(_value(verb, flag) | st.sampled_from(JUNK + SWITCHES + FLAGS))
+        tokens += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+    return tokens
+
+
+@st.composite
+def parser_argvs(draw) -> list[str]:
+    argv = draw(argvs() | own_flag_argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(PARSER_TOKENS)))
+    # --flag=-- parts from argparse on purpose (the test above)
+    hypothesis.assume(all(token.partition("=")[2] != "--" for token in argv))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argv=parser_argvs())
+def test_parser_agrees_with_argparse_on_any_argv(argv):
+    assert _parse_outcome(cli.build_parser(), argv) == _parse_outcome(reference_parser(), argv)
 
 
 def _json(values):
