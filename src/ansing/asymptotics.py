@@ -15,8 +15,8 @@ x1 >= 0 first, which leaves them in the closed positive quadrant.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
+from math import gcd
 from typing import Iterator
 
 Point = tuple[Fraction, Fraction]
@@ -119,20 +119,30 @@ def upper_integral(n: int, m: int) -> Fraction:
     return sum((integrate_piece(verts, w, m) for verts, w in pieces(n, m)), Fraction(0))
 
 
-def _basel_sums(n_max: int) -> Iterator[Fraction]:
-    """The exact partial sums 1, 1 + 1/4, ..., 1 + 1/4 + ... + 1/n_max^2."""
-    total = Fraction(0)
+def _basel_sums(n_max: int) -> Iterator[tuple[int, int]]:
+    """The partial sums 1, 1 + 1/4, ..., 1 + 1/4 + ... + 1/n_max^2, exactly,
+    each as an integer pair (P, Q) with P/Q the sum and Q = lcm(1..n)^2.
+
+    Step j scales the pair by j^2/gcd(Q, j^2), which takes Q to
+    lcm(Q, j^2) = lcm(1..j)^2, and then adds Q/j^2 to P.  P/Q is not reduced:
+    the one normalisation happens where a rate is formed.
+    """
+    num, den = 0, 1
     for j in range(1, n_max + 1):
-        total += Fraction(1, j * j)
-        yield total
+        square = j * j
+        scale = square // gcd(den, square)
+        num *= scale
+        den *= scale
+        num += den // square
+        yield num, den
 
 
-def _basel(n: int) -> Fraction:
-    """1 + 1/4 + ... + 1/n^2, exactly."""
-    total = Fraction(0)
-    for total in _basel_sums(n):
+def _basel(n: int) -> tuple[int, int]:
+    """1 + 1/4 + ... + 1/n^2, exactly, as the pair (P, lcm(1..n)^2)."""
+    pair = (0, 1)
+    for pair in _basel_sums(n):
         pass
-    return total
+    return pair
 
 
 def _basel_float(n: int) -> float:
@@ -154,10 +164,12 @@ def _h1_terms(n: int) -> tuple[int, int, int]:
     return -1, n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n, 6 * (n + 1) ** 2 * (n + 2) ** 2
 
 
-def _rate(terms: tuple[int, int, int], basel: Fraction) -> Fraction:
-    """sign * (4/3) * basel + num/den, exactly."""
+def _rate(terms: tuple[int, int, int], basel: tuple[int, int]) -> Fraction:
+    """sign * (4/3) * p/q + num/den for the Basel pair basel = (p, q), exactly,
+    over the common denominator 3 q den and normalised once."""
     sign, num, den = terms
-    return sign * Fraction(4, 3) * basel + Fraction(num, den)
+    p, q = basel
+    return Fraction(4 * sign * p * den + 3 * num * q, 3 * q * den)
 
 
 def _rate_float(terms: tuple[int, int, int], basel: float) -> float:
@@ -201,16 +213,6 @@ def h0_omega_limit_float() -> float:
     return 2 * pi * pi / 9 - 2
 
 
-@functools.cache
-def _h0_omega_as_float(n: int) -> float:
-    """float(h0_omega(n)) for an exact cap n <= 400, at most once per n.
-
-    Every report with n_max >= 400 reads n = 400, whose exact Basel sum is
-    nearly all of the report's cost; the cache holds at most 399 floats.
-    """
-    return float(h0_omega(n))
-
-
 def h0_omega_limit_report(n_max: int) -> dict:
     """Monotonicity and boundedness of h0_omega up to n_max (float gap only).
 
@@ -226,7 +228,7 @@ def h0_omega_limit_report(n_max: int) -> dict:
         "n_max": n_max,
         "exact_monotonicity_checked_to": exact_cap,
         "strictly_increasing": increasing,
-        "bounded_by_limit": increasing and _h0_omega_as_float(exact_cap) < limit,
+        "bounded_by_limit": increasing and float(h0_omega(exact_cap)) < limit,
         "limit_float": limit,
         "gap_at_n_max_float": limit - h0_omega_float(n_max),
     }

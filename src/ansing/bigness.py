@@ -17,11 +17,11 @@ from .asymptotics import _basel_sums, _h1_terms, _rate
 from .exactmath import parse_rational
 
 # Config bounds.  Every entry's h1_omega(n) is computed exactly, all of them
-# from one pass of exact Basel partial sums up to the largest n (about 40 ms to
+# from one pass of exact Basel partial sums up to the largest n (about 17 ms to
 # n = 4000 on a 2-core x86 machine).  The printed total's denominator holds
 # lcm(1..n)^2, about 3500 digits at n = 4000, times those of c1sq and c2; the
 # largest admitted config (16 entries n = 3985..4000) stays well inside the
-# 4300-digit int-to-str limit and is evaluated and printed in about 50 ms.
+# 4300-digit int-to-str limit and is evaluated and printed in about 35 ms.
 N_LIMIT = 4000  # singularity index n
 COUNT_LIMIT = 10**6  # count of one entry
 ENTRIES_LIMIT = 16  # entries in "singularities"

@@ -36,11 +36,14 @@ def chi_orb(n: int, m: int) -> Fraction:
 
     In general it is s2/6 m^3 - c2/2 m^2 - (c1^2 + 3 c2)/12 m + (c1^2 + c2)/12
     with s2 = c1^2 - c2.  An A_n point has c1^2 = 0, so s2 = -c2 and every
-    term is a multiple of c2 = ``local_c2(n)``.
+    term is a multiple of c2 = ``local_c2(n)``: chi_orb is
+    c2 (1 - 3m - 6m^2 - 2m^3)/12, formed here as one fraction over 12(n+1).
     """
     if m < 0:
         raise ValueError("need m >= 0")
-    return local_c2(n) * Fraction(1 - 3 * m - 6 * m**2 - 2 * m**3, 12)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return Fraction(n * (n + 2) * (1 - 3 * m - 6 * m**2 - 2 * m**3), 12 * (n + 1))
 
 
 # mu's lru_cache bound: a sweep at the CLI's --m-to bound needs 1501 entries

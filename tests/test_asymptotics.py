@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 
+import math
 import random
 
 import pytest
 
-from ansing import asymptotics
+from ansing import asymptotics, cli
 from ansing.asymptotics import (
     h0_omega,
     h0_omega_float,
@@ -13,8 +14,10 @@ from ansing.asymptotics import (
     integrate_piece,
     pieces,
     upper_integral,
+    _basel_sums,
     _increasing_to,
 )
+from ansing.invariants import h1_omega
 from ansing.quasifit import _interpolate
 from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
 from lattice_oracle import weight
@@ -264,6 +267,30 @@ def test_h0_omega_limit_report_bound_at_a_moved_limit(monkeypatch, k):
         report = h0_omega_limit_report(n_max)
         assert report == expected[n_max]
         assert report["bounded_by_limit"] == (min(n_max, 400) < k)
+
+
+def test_basel_pairs_are_the_partial_sums_over_lcm_squared():
+    # each pair (P, Q) is the exact partial sum over Q = lcm(1..n)^2, unreduced
+    basel = F(0)
+    for n, (p, q) in enumerate(_basel_sums(400), start=1):
+        basel += F(1, n * n)
+        assert q == math.lcm(*range(1, n + 1)) ** 2, n
+        assert F(p, q) == basel, n
+
+
+def test_rates_match_fraction_accumulation():
+    # both rates from a running Fraction sum and the published polynomials,
+    # restated here, up to the largest n the omega verb admits
+    wanted = {*range(1, 61), 400, cli.OMEGA_N_LIMIT}
+    basel = F(0)
+    for n in range(1, max(wanted) + 1):
+        basel += F(1, n * n)
+        if n not in wanted:
+            continue
+        den = 6 * (n + 1) ** 2 * (n + 2) ** 2
+        h0 = F(4, 3) * basel - F(12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n, den)
+        h1 = F(n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n, den) - F(4, 3) * basel
+        assert (h0_omega(n), h1_omega(n)) == (h0, h1), n
 
 
 def _rate_by_fraction(terms, n):
