@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator
 
+from .exactmath import scale_to_integers
+
 Point = tuple[Fraction, Fraction]
 # (a, b, c, d): the affine weight a*x1 + b*x2 + c*m + d
 Weight = tuple[Fraction, Fraction, Fraction, Fraction]
@@ -93,25 +95,29 @@ def integrate_piece(vertices: tuple[Point, ...], weight: Weight, m: int) -> Frac
     Fan-triangulate from the first vertex; each triangle contributes
     signed_area * mean of the three vertex values, and the total sign is
     normalized by the polygon orientation.  Degenerate triangles contribute 0.
+    The vertices are scaled to integers over their common denominator L and
+    the weight over its common denominator W, so the sum is taken in ints
+    and the one fraction formed is acc / (6 L^3 W).
     """
     if len(vertices) < 3:
         return Fraction(0)
-    a, b, c, d = weight
-    offset = c * m + d
-    values = [a * x + b * y + offset for x, y in vertices]
-    x0, y0 = vertices[0]
-    doubled_area = Fraction(0)
-    accumulated = Fraction(0)
-    for idx in range(1, len(vertices) - 1):
-        x1, y1 = vertices[idx]
-        x2, y2 = vertices[idx + 1]
+    coords, scale = scale_to_integers(t for vertex in vertices for t in vertex)
+    points = list(zip(coords[::2], coords[1::2]))
+    (a, b, c, d), wscale = scale_to_integers(weight)
+    offset = (c * m + d) * scale
+    values = [a * x + b * y + offset for x, y in points]
+    x0, y0 = points[0]
+    doubled_area = 0
+    accumulated = 0
+    for idx in range(1, len(points) - 1):
+        x1, y1 = points[idx]
+        x2, y2 = points[idx + 1]
         cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        if cross == 0:
-            continue
         doubled_area += cross
         accumulated += cross * (values[0] + values[idx] + values[idx + 1])
-    integral = accumulated / 6
-    return -integral if doubled_area < 0 else integral
+    if doubled_area < 0:
+        accumulated = -accumulated
+    return Fraction(accumulated, 6 * scale**3 * wscale)
 
 
 def upper_integral(n: int, m: int) -> Fraction:
@@ -178,6 +184,14 @@ def _rate_float(terms: tuple[int, int, int], basel: float) -> float:
     return sign * (4 / 3) * basel + num / den
 
 
+# n up to which the limit reports test growth exactly.  A longer loop could not
+# change the verdict: for either rate the step test's polynomial
+# P(n) = 3n^2 (num(n) den(n-1) - num(n-1) den(n)) + 4 sign den(n) den(n-1)
+# has P(2) > 0 and P(n + 2) has no negative coefficient, so every step from
+# n = 2 on is positive (tests/test_asymptotics.py checks both in integers).
+GROWTH_CHECK_CAP = 400
+
+
 def _increasing_to(rate_terms, n_max: int) -> bool:
     """rate(n) > rate(n - 1) for every n = 2..n_max, tested in integers.
 
@@ -216,13 +230,14 @@ def h0_omega_limit_float() -> float:
 def h0_omega_limit_report(n_max: int) -> dict:
     """Monotonicity and boundedness of h0_omega up to n_max (float gap only).
 
-    Growth is exact up to exact_cap = min(n_max, 400); once every step passes,
-    h0_omega(exact_cap) is the largest value, and float() is monotone.
+    Growth is exact up to exact_cap = min(n_max, GROWTH_CHECK_CAP); once every
+    step passes, h0_omega(exact_cap) is the largest value, and float() is
+    monotone.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     limit = h0_omega_limit_float()
-    exact_cap = min(n_max, 400)
+    exact_cap = min(n_max, GROWTH_CHECK_CAP)
     increasing = _increasing_to(_h0_terms, exact_cap)
     return {
         "n_max": n_max,

@@ -204,7 +204,7 @@ ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
 ORACLE_M_LIMIT = 30  # that grows polynomially in both n and m
 INTEGRAL_N_LIMIT = 1000  # integral-check: exact integrals over n + 2 pieces
 POLYGON_N_LIMIT = 10_000  # polygon: n + 2 pieces, each with exact vertices
-LIMITS_N_LIMIT = 100_000  # limits: a growth step of h1_omega at every n up to it
+LIMITS_N_LIMIT = 100_000  # limits: float Basel sums of n_max terms for the gaps and ratios
 # omega: past it the exact rates' numerators exceed CPython's 4300-digit
 # int-to-str limit, so they could not be printed
 OMEGA_N_LIMIT = 4964
@@ -251,11 +251,12 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_omega(args):
-    _need_n(args, OMEGA_N_LIMIT)
+    n = _need_n(args, OMEGA_N_LIMIT)
+    basel = asymptotics._basel(n)  # one exact Basel pair serves both rates
     return {
-        "n": args.n,
-        "h0_omega": asymptotics.h0_omega(args.n),
-        "h1_omega": invariants.h1_omega(args.n),
+        "n": n,
+        "h0_omega": asymptotics._rate(asymptotics._h0_terms(n), basel),
+        "h1_omega": asymptotics._rate(asymptotics._h1_terms(n), basel),
     }, 0
 
 

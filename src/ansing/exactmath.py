@@ -19,6 +19,8 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from collections.abc import Iterable, Sequence
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -46,6 +48,14 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def scale_to_integers(values: Iterable[int | Fraction]) -> tuple[list[int], int]:
+    """Rationals written over their least common denominator S, as the
+    integer numerators and S: values[i] == numerators[i] / S."""
+    values = list(values)
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def ceil_ratio(a: int, b: int) -> int:
@@ -295,9 +305,13 @@ class CycloElement:
 # ---------------------------------------------------------------------------
 
 
-def horner(coeffs: tuple[Fraction, ...], x: int) -> Fraction:
-    """The polynomial with these coefficients, constant first, at x."""
-    value = Fraction(0)
+def horner(coeffs: Sequence[int | Fraction], x: int) -> int | Fraction:
+    """The polynomial with these coefficients, constant first, at x.
+
+    It starts from the int 0, so integer coefficients give an int and
+    rational ones a Fraction.
+    """
+    value = 0
     for coeff in reversed(coeffs):
         value = value * x + coeff
     return value

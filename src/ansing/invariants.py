@@ -19,7 +19,16 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .asymptotics import _basel, _basel_float, _basel_sums, _h1_terms, _increasing_to, _rate, _rate_float
+from .asymptotics import (
+    GROWTH_CHECK_CAP,
+    _basel,
+    _basel_float,
+    _basel_sums,
+    _h1_terms,
+    _increasing_to,
+    _rate,
+    _rate_float,
+)
 from .latticesum import hsum
 
 
@@ -116,7 +125,7 @@ def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
             break
     return {
         "n_max": n_max,
-        "strictly_increasing": _increasing_to(_h1_terms, n_max),
+        "strictly_increasing": _increasing_to(_h1_terms, min(n_max, GROWTH_CHECK_CAP)),
         "threshold": Fraction(threshold),
         "first_n_exceeding_threshold": first_exceeds,
         "leading_ratio_samples": [

@@ -5,14 +5,17 @@ verification, never least squares.  Candidate periods are tried in
 increasing order; for a period to succeed, in every residue class the exact
 Lagrange interpolant through the first degree+1 samples must reproduce all
 remaining samples of the class.  The first success is therefore the minimal
-period.
+period.  The search runs in integers: the values are scaled over their
+common denominator, each interpolant is kept as integer coefficients over
+one denominator, and fractions are formed only for the branches returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .exactmath import QuasiPolynomial, horner
+from .exactmath import QuasiPolynomial, horner, scale_to_integers
 
 
 class FitError(ValueError):
@@ -27,33 +30,50 @@ class NoPeriodFitsError(FitError):
     """Every candidate period up to the bound fails verification."""
 
 
+def _lagrange(nodes: list[int], values: list[int]) -> tuple[list[int], int]:
+    """The interpolant through (nodes[i], values[i]) as integer coefficients,
+    constant first, over one positive denominator C; the nodes are distinct.
+
+    With M(x) = prod_j (x - x_j), the basis numerator M(x)/(x - x_i) comes
+    from M by one synthetic division and its value at x_i is
+    w_i = prod_{j != i} (x_i - x_j).  C = lcm |w_i|, and the coefficients are
+    sum_i y_i (C / w_i) M(x)/(x - x_i), so no rational is formed.
+    """
+    master = [1]  # M(x), constant first
+    for xj in nodes:
+        master = [0] + master
+        for p in range(len(master) - 1):
+            master[p] -= xj * master[p + 1]
+    weights = []
+    for xi in nodes:
+        w = 1
+        for xj in nodes:
+            if xj != xi:
+                w *= xi - xj
+        weights.append(w)
+    denom = lcm(*weights)
+    coeffs = [0] * len(nodes)
+    for xi, yi, w in zip(nodes, values, weights):
+        scale = yi * (denom // w)
+        carry = 0  # M(x)/(x - xi), highest coefficient first
+        for p in range(len(nodes), 0, -1):
+            carry = master[p] + xi * carry
+            coeffs[p - 1] += scale * carry
+    return coeffs, denom
+
+
 def _interpolate(points: list[tuple[int, Fraction]], degree: int) -> tuple[Fraction, ...]:
     """Exact Lagrange interpolation, returned constant-first, padded to degree+1."""
-    coeffs = [Fraction(0)] * (degree + 1)
-    for idx, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != idx} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for jdx, (xj, _) in enumerate(points):
-            if jdx == idx:
-                continue
-            denom *= xi - xj
-            shifted = [Fraction(0)] + basis
-            for p in range(len(basis)):
-                shifted[p] -= xj * basis[p]
-            basis = shifted
-        scale = yi / denom
-        for p, c in enumerate(basis):
-            coeffs[p] += scale * c
-    return tuple(coeffs)
+    ys, scale = scale_to_integers([y for _, y in points])
+    coeffs, denom = _lagrange([x for x, _ in points], ys)
+    coeffs += [0] * (degree + 1 - len(coeffs))
+    return tuple(Fraction(c, denom * scale) for c in coeffs)
 
 
-def _split_classes(
-    samples: list[tuple[int, Fraction]], period: int
-) -> list[list[tuple[int, Fraction]]]:
-    classes: list[list[tuple[int, Fraction]]] = [[] for _ in range(period)]
-    for m, v in samples:
-        classes[m % period].append((m, v))
+def _split_classes(samples: list[tuple[int, int]], period: int) -> list[list[tuple[int, int]]]:
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
+    for sample in samples:
+        classes[sample[0] % period].append(sample)
     return classes
 
 
@@ -75,7 +95,9 @@ def fit(
         raise ValueError("max_period must be >= 1")
     if any(m < 0 for m, _ in values) or len({m for m, _ in values}) < len(values):
         raise ValueError("sample points must be distinct and >= 0")
-    samples = sorted(values)
+    ordered = sorted(values)
+    ys, scale = scale_to_integers([v for _, v in ordered])
+    samples = [(m, y) for (m, _), y in zip(ordered, ys)]
     needed = degree + 3  # degree+1 to fit, two more to verify
     for period in range(1, max_period + 1):
         classes = _split_classes(samples, period)
@@ -83,14 +105,15 @@ def fit(
             raise InsufficientSamplesError(
                 f"period {period} has a residue class with fewer than {needed} samples"
             )
-        branches = []
+        fitted = []
         for cls in classes:
-            coeffs = _interpolate(cls[: degree + 1], degree)
-            if all(horner(coeffs, m) == v for m, v in cls[degree + 1 :]):
-                branches.append(coeffs)
+            nodes = cls[: degree + 1]
+            coeffs, denom = _lagrange([m for m, _ in nodes], [y for _, y in nodes])
+            if all(horner(coeffs, m) == y * denom for m, y in cls[degree + 1 :]):
+                fitted.append((coeffs, denom * scale))
             else:
                 break
-        if len(branches) == period:
-            return QuasiPolynomial(period, tuple(branches))
+        if len(fitted) == period:
+            branches = tuple(tuple(Fraction(c, denom) for c in coeffs) for coeffs, denom in fitted)
+            return QuasiPolynomial(period, branches)
     raise NoPeriodFitsError(f"no period <= {max_period} fits the samples")
-

@@ -7,6 +7,7 @@ import pytest
 
 from ansing import asymptotics, cli
 from ansing.asymptotics import (
+    GROWTH_CHECK_CAP,
     h0_omega,
     h0_omega_float,
     h0_omega_limit_float,
@@ -15,11 +16,14 @@ from ansing.asymptotics import (
     pieces,
     upper_integral,
     _basel_sums,
+    _h0_terms,
+    _h1_terms,
     _increasing_to,
 )
 from ansing.invariants import h1_omega
 from ansing.quasifit import _interpolate
 from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
+from fraction_kernels import integrate_piece_by_fractions
 from lattice_oracle import weight
 
 
@@ -45,6 +49,45 @@ def test_integrate_orientation_independent():
     ccw = _vertices([(0, 0), (2, 0), (2, 1), (0, 1)])
     cw = _vertices([(0, 0), (0, 1), (2, 1), (2, 0)])
     assert integrate_piece(ccw, w, 0) == integrate_piece(cw, w, 0)
+
+
+# every n <= 40 at six m <= 24, among them m = 0 and 1, the only m <= 40 where
+# the clip to x1 >= 0 acts; then larger m and a few points at integral-check's
+# bound n = 1000
+ORACLE_GRID = (
+    [(n, m) for n in range(1, 41) for m in (0, 1, 2, 5, 11, 24)]
+    + [(n, m) for n in (1, 2, 3, 7, 16, 40) for m in (50, 97, 320, 1000, 10**6)]
+    + [(1000, m) for m in (0, 5, 10**6)]
+)
+
+
+def test_integrate_piece_matches_fraction_oracle_on_grid():
+    # both orientations: pieces lists most of its polygons clockwise
+    for n, m in ORACLE_GRID:
+        for label, (verts, w) in enumerate(pieces(n, m)):
+            expected = integrate_piece_by_fractions(verts, w, m)
+            assert integrate_piece(verts, w, m) == expected, (n, m, label)
+            assert integrate_piece(verts[::-1], w, m) == expected, (n, m, label)
+
+
+def test_integrate_piece_matches_fraction_oracle_on_random_polygons():
+    # vertices and weights over unrelated denominators, integer weights too,
+    # and polygons that are not convex, degenerate or a single point
+    rng = random.Random(20)
+
+    def rational():
+        return F(rng.randint(-50, 50), rng.randint(1, 30))
+
+    for _ in range(300):
+        verts = tuple((rational(), rational()) for _ in range(rng.randint(0, 7)))
+        if rng.random() < 0.2:
+            w = tuple(rng.randint(-3, 3) for _ in range(4))
+        else:
+            w = tuple(rational() for _ in range(4))
+        m = rng.randint(0, 10**6)
+        value = integrate_piece(verts, w, m)
+        assert isinstance(value, F)
+        assert value == integrate_piece_by_fractions(verts, w, m), (verts, w, m)
 
 
 def test_piece_vertices_and_weights():
@@ -317,6 +360,75 @@ def test_integer_growth_step_matches_fraction_values():
     # rate(2) == rate(1) == 1 here: an equal step is not a rise
     assert _rate_by_fraction(lambda n: (1, -n, 3), 2) == _rate_by_fraction(lambda n: (1, -n, 3), 1)
     assert not _increasing_to(lambda n: (1, -n, 3), 2)
+
+
+class _Poly:
+    """An integer polynomial in one variable, constant first, with the
+    arithmetic the rate terms use, so they can be evaluated symbolically."""
+
+    def __init__(self, coeffs):
+        coeffs = list(coeffs)
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coeffs = coeffs
+
+    @staticmethod
+    def lift(other):
+        return other if isinstance(other, _Poly) else _Poly([other])
+
+    def __add__(self, other):
+        a, b = self.coeffs, _Poly.lift(other).coeffs
+        size = max(len(a), len(b))
+        return _Poly([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(size)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Poly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -_Poly.lift(other)
+
+    def __mul__(self, other):
+        b = _Poly.lift(other).coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return _Poly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = _Poly([1])
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def at(self, x):
+        return sum(c * x**k for k, c in enumerate(self.coeffs))
+
+
+@pytest.mark.parametrize("terms, degree", [(_h0_terms, 8), (_h1_terms, 10)])
+def test_every_growth_step_from_two_on_is_positive(terms, degree):
+    # the step test at n is P(n) > 0 with P(n) = 3n^2 (num(n) den(n-1) -
+    # num(n-1) den(n)) + 4 sign den(n) den(n-1).  Built from the rate's own
+    # terms at n = t + 2, Q(t) = P(t + 2) has no negative coefficient and
+    # Q(0) = P(2) > 0, so Q(t) >= P(2) > 0 for every t >= 0: both rates grow
+    # at every n >= 2, and the limit reports may stop their loops at the cap
+    t = _Poly([0, 1])
+    sign, num, den = terms(t + 2)
+    _, prev_num, prev_den = terms(t + 1)
+    step = 3 * (t + 2) ** 2 * (num * prev_den - prev_num * den) + 4 * sign * den * prev_den
+    assert len(step.coeffs) - 1 == degree
+    assert all(c >= 0 for c in step.coeffs)
+    assert step.coeffs[0] > 0
+    # the symbolic step is the integer one the package tests
+    for n in (2, 3, 10, GROWTH_CHECK_CAP, 10**5):
+        s, a, b = terms(n)
+        _, a_prev, b_prev = terms(n - 1)
+        assert step.at(n - 2) == 3 * n * n * (a * b_prev - a_prev * b) + 4 * s * b * b_prev
+    assert _increasing_to(terms, GROWTH_CHECK_CAP)
 
 
 def test_integral_cubic_fit_leading_coefficient():

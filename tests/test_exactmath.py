@@ -14,6 +14,7 @@ from ansing.exactmath import (
     euler_phi,
     format_rational,
     parse_rational,
+    scale_to_integers,
 )
 
 # Example-1 branch table, constant term first (residues mod 6).
@@ -47,6 +48,12 @@ def test_ratio_floor_ceil():
             assert ceil_ratio(a, b) == math.ceil(F(a, b)), (a, b)
     with pytest.raises(ZeroDivisionError):
         ceil_ratio(1, 0)
+
+
+def test_scale_to_integers_uses_the_least_common_denominator():
+    assert scale_to_integers([F(1, 2), F(-1, 3), 2, F(5, 6)]) == ([3, -2, 12, 5], 6)
+    assert scale_to_integers(iter([F(4, 6), F(0)])) == ([2, 0], 3)
+    assert scale_to_integers([]) == ([], 1)
 
 
 def test_rational_string_codec():

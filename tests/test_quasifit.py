@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from ansing.exactmath import QuasiPolynomial
+from ansing.invariants import mu
 from ansing.latticesum import hsum
-from ansing.quasifit import InsufficientSamplesError, NoPeriodFitsError, fit
+from ansing.quasifit import InsufficientSamplesError, NoPeriodFitsError, _interpolate, fit
+from fraction_kernels import fit_by_fractions, interpolate_by_fractions
 
 EXAMPLE1_BRANCHES = (
     (F(0), F(1, 12), F(29, 72), F(29, 216)),
@@ -82,6 +85,77 @@ def test_request_validation():
         fit(((0, F(1)),), -1, 2)
     with pytest.raises(ValueError, match="^max_period must be >= 1$"):
         fit(((0, F(1)),), 1, 0)
+
+
+def _outcome(fitter, values, degree, max_period):
+    """(period, branches) of a fit, or the type and message of its error."""
+    try:
+        qp = fitter(values, degree, max_period)
+    except ValueError as exc:  # FitError is a ValueError
+        return type(exc), str(exc)
+    return qp.period, qp.branches
+
+
+def test_interpolate_matches_fraction_oracle_on_random_nodes():
+    # distinct nodes >= 0 in any order and spacing, values over unrelated
+    # denominators, and padding past the number of nodes
+    rng = random.Random(20)
+    for _ in range(300):
+        nodes = rng.sample(range(300), rng.randint(1, 9))
+        points = [(x, F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))) for x in nodes]
+        degree = len(points) - 1 + rng.randint(0, 2)
+        coeffs = _interpolate(points, degree)
+        assert all(isinstance(c, F) for c in coeffs)
+        assert coeffs == interpolate_by_fractions(points, degree), points
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fit_matches_fraction_oracle_on_hsum_samples(n):
+    # fits, exhausted candidates (A_3 has no period <= 12) and, on m <= 29,
+    # too few samples per class
+    cases = [(179, degree, max_period) for degree in (0, 3, 5) for max_period in (1, 6, 12)]
+    for m_top, degree, max_period in cases + [(29, 3, 12)]:
+        values = _hsum_samples(n, m_top)
+        assert _outcome(fit, values, degree, max_period) == _outcome(
+            fit_by_fractions, values, degree, max_period
+        ), (m_top, degree, max_period)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_fit_matches_fraction_oracle_on_mu_samples(n):
+    # mu(n, m) is a quasi-polynomial with non-integer values
+    values = tuple((m, mu(n, m)) for m in range(8 * (n + 1)))
+    assert any(v.denominator > 1 for _, v in values)
+    for degree in (0, 1, 2):
+        for max_period in (1, n + 1, 2 * (n + 1)):
+            assert _outcome(fit, values, degree, max_period) == _outcome(
+                fit_by_fractions, values, degree, max_period
+            ), (degree, max_period)
+
+
+def test_fit_matches_fraction_oracle_on_random_sample_sets():
+    # random quasi-polynomials sampled at random non-consecutive m, some with
+    # one value disturbed; every outcome kind must occur
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(200):
+        period, degree = rng.randint(1, 4), rng.randint(0, 3)
+        branches = tuple(
+            tuple(F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(degree + 1))
+            for _ in range(period)
+        )
+        base = QuasiPolynomial(period, branches)
+        ms = sorted(rng.sample(range(120), rng.randint(10, 80)))
+        values = [(m, base.evaluate(m)) for m in ms]
+        if rng.random() < 0.3:
+            k = rng.randrange(len(values))
+            values[k] = (values[k][0], values[k][1] + F(1, rng.randint(1, 5)))
+        rng.shuffle(values)
+        fit_degree, max_period = rng.randint(0, 4), rng.randint(1, 6)
+        outcome = _outcome(fit, tuple(values), fit_degree, max_period)
+        assert outcome == _outcome(fit_by_fractions, tuple(values), fit_degree, max_period)
+        kinds.add(outcome[0] if isinstance(outcome[0], type) else "fit")
+    assert kinds == {"fit", InsufficientSamplesError, NoPeriodFitsError}
 
 
 def coefficient_report(qp: QuasiPolynomial) -> dict:
