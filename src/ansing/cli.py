@@ -1,8 +1,10 @@
 """Command-line surface: one verb per computation, JSON (default) or CSV out.
 
-A table-driven front end: _VERBS names each verb's handler and the flags it
-reads, _FLAGS each flag's type and default, and the parser built from the
-two reads argv in one pass (the grammar is in _Parser's docstring).
+A table-driven front end: _VERBS names each verb's handler, the flags it
+reads and their bounds (the one statement of the input contract), _FLAGS
+each flag's type and default.  The parser built from the two reads argv in
+one pass (the grammar is in _Parser's docstring); _check_bounds then holds
+every flag to its bounds, so a handler only checks rules across flags.
 
 Exit codes: 0 success, 2 invalid input, 3 verification failure (formula vs
 oracle mismatch, integrality failure, or an unfittable sequence).  Every
@@ -184,20 +186,20 @@ def __getattr__(name: str):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (payload, exit_code)
+# verb handlers: each returns (payload, exit_code) for arguments in bounds
 # ---------------------------------------------------------------------------
 
 
-# Input bounds.  Each is sized so that the slowest call it admits takes
-# about 1.6 s or less on a 2-core x86 machine under Python 3.11: h1 at
-# --n 1000000 --m 1000000, a sweep from 0 to --m-to 1500, fit --n 4
-# --degree 20 --max-period 40 --m-to 1500, integral-check --n 1000
+# Input bounds, used by _VERBS.  Each is sized so that the slowest call it
+# admits takes about 1.6 s or less on a 2-core x86 machine under Python
+# 3.11: h1 at --n 1000000 --m 1000000, a sweep from 0 to --m-to 1500, fit
+# --n 4 --degree 20 --max-period 40 --m-to 1500, integral-check --n 1000
 # --m 1000000, divisor --n 1000000 --m 1000000, polygon --n 10000
 # --m 1000000, limits --n 100000.  oracle-verify --n 16 --m 30 takes about
 # 0.5 s in a fresh process, 0.36 s of it in the oracle's modular ranks.
-M_LIMIT = 1_000_000  # --m of every verb that takes one, except oracle-verify
-N_LIMIT = 1_000_000  # --n of every verb without its own bound below: mu's cost grows with it
-M_TO_LIMIT = 1500  # --m-to of fit and hsum-sweep: hsum at every m up to it
+M_LIMIT = 1_000_000
+N_LIMIT = 1_000_000  # mu's cost grows with n
+M_TO_LIMIT = 1500  # fit and hsum-sweep: hsum at every m up to it
 DEGREE_LIMIT = 20
 MAX_PERIOD_LIMIT = 40
 ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
@@ -210,38 +212,19 @@ LIMITS_N_LIMIT = 100_000  # limits: float Basel sums of n_max terms for the gaps
 OMEGA_N_LIMIT = 4964
 
 
-def _need_n(args, n_limit: int = N_LIMIT) -> int:
-    _require(args.n is not None and args.n >= 1, "--n must be an integer >= 1")
-    _require(args.n <= n_limit, f"--n must be <= {n_limit}")
-    return args.n
-
-
-def _need_nm(args, m_limit: int = M_LIMIT, n_limit: int = N_LIMIT) -> tuple[int, int]:
-    n = _need_n(args, n_limit)
-    _require(args.m is not None and args.m >= 0, "--m must be an integer >= 0")
-    _require(args.m <= m_limit, f"--m must be <= {m_limit}")
-    return n, args.m
-
-
 def _cmd_hsum(args):
-    n, m = _need_nm(args)
-    return {"n": n, "m": m, "hsum": latticesum.hsum(n, m)}, 0
+    return {"n": args.n, "m": args.m, "hsum": latticesum.hsum(args.n, args.m)}, 0
 
 
 def _cmd_sweep(args):
-    _need_n(args)
-    _require(args.m_from is not None and args.m_from >= 0, "--m-from must be >= 0")
-    _require(args.m_to is not None and args.m_to >= -1, "--m-to must be >= -1")
-    _require(args.m_to <= M_TO_LIMIT, f"--m-to must be <= {M_TO_LIMIT}")
     _require(args.m_from <= args.m_to + 1, "--m-from must be <= --m-to + 1")
-    _require(args.parallel >= 1, "--parallel must be >= 1")
     cache_path = Path(args.cache) if args.cache else None
     rows = sweep(args.n, args.m_from, args.m_to, args.parallel, cache_path)
     return {"n": args.n, "rows": rows}, 0
 
 
 def _cmd_oracle_verify(args):
-    n, m = _need_nm(args, ORACLE_M_LIMIT, ORACLE_N_LIMIT)
+    n, m = args.n, args.m
     formula = latticesum.hsum(n, m)
     brute = oracle.hsum_oracle(n, m)
     match = formula == brute
@@ -251,7 +234,7 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_omega(args):
-    n = _need_n(args, OMEGA_N_LIMIT)
+    n = args.n
     basel = asymptotics._basel(n)  # one exact Basel pair serves both rates
     return {
         "n": n,
@@ -261,17 +244,15 @@ def _cmd_omega(args):
 
 
 def _cmd_mu(args):
-    n, m = _need_nm(args)
-    return {"n": n, "m": m, "mu": invariants.mu(n, m)}, 0
+    return {"n": args.n, "m": args.m, "mu": invariants.mu(args.n, args.m)}, 0
 
 
 def _cmd_chi_orb(args):
-    n, m = _need_nm(args)
-    return {"n": n, "m": m, "chi_orb": invariants.chi_orb(n, m)}, 0
+    return {"n": args.n, "m": args.m, "chi_orb": invariants.chi_orb(args.n, args.m)}, 0
 
 
 def _cmd_h1(args):
-    n, m = _need_nm(args)
+    n, m = args.n, args.m
     mu, chi, hsum = invariants.mu(n, m), invariants.chi_orb(n, m), latticesum.hsum(n, m)
     # the package's h1, not the difference of the three terms above: the verb
     # checks that function, and bench/tests injects a fault through it
@@ -289,12 +270,11 @@ def _cmd_h1(args):
 
 
 def _cmd_divisor(args):
-    n, m = _need_nm(args)
-    return {"n": n, "m": m, "coefficients": extension.divisor_D(n, m)}, 0
+    return {"n": args.n, "m": args.m, "coefficients": extension.divisor_D(args.n, args.m)}, 0
 
 
 def _cmd_polygon(args):
-    n, m = _need_nm(args, n_limit=POLYGON_N_LIMIT)
+    n, m = args.n, args.m
     return {
         "n": n,
         "m": m,
@@ -311,11 +291,6 @@ def _cmd_polygon(args):
 
 
 def _cmd_fit(args):
-    _need_n(args)
-    _require(args.degree >= 0, "--degree must be >= 0")
-    _require(args.degree <= DEGREE_LIMIT, f"--degree must be <= {DEGREE_LIMIT}")
-    _require(args.max_period >= 1, "--max-period must be >= 1")
-    _require(args.max_period <= MAX_PERIOD_LIMIT, f"--max-period must be <= {MAX_PERIOD_LIMIT}")
     m_to = args.m_to
     if m_to is None:  # at most (DEGREE_LIMIT + 3) * MAX_PERIOD_LIMIT - 1 < M_TO_LIMIT
         m_to = (args.degree + 3) * args.max_period - 1
@@ -336,7 +311,7 @@ def _cmd_fit(args):
 
 
 def _cmd_integral_check(args):
-    n, m = _need_nm(args, n_limit=INTEGRAL_N_LIMIT)
+    n, m = args.n, args.m
     hsum = latticesum.hsum(n, m)
     integral = asymptotics.upper_integral(n, m)
     return {"n": n, "m": m, "hsum": hsum, "integral": integral, "residual": hsum - integral}, 0
@@ -349,31 +324,38 @@ def _cmd_bigness(args):
 
 
 def _cmd_limits(args):
-    _require(args.n is not None and args.n >= 2, "--n (the n_max to scan) must be >= 2")
-    _require(args.n <= LIMITS_N_LIMIT, f"--n must be <= {LIMITS_N_LIMIT}")
     return {
         "h0": asymptotics.h0_omega_limit_report(args.n),
         "h1": invariants.h1_omega_limit_report(args.n),
     }, 0
 
 
-_POINT = ("--n", "--m")
+_N, _M = (1, N_LIMIT), (0, M_LIMIT)
+_POINT = {"--n": _N, "--m": _M}
 
-# verb -> (handler, the flags it reads); every verb also takes the output flags
+# verb -> (handler, {each flag it reads, in usage order: (least, greatest)}).
+# A greatest of None is no upper bound; None bounds are no range check: a path,
+# or fit's --m-to, derived from the other flags.  Output switches come on top.
 _VERBS = {
     "hsum": (_cmd_hsum, _POINT),
-    "hsum-sweep": (_cmd_sweep, ("--n", "--m-from", "--m-to", "--parallel", "--cache")),
-    "oracle-verify": (_cmd_oracle_verify, _POINT),
-    "omega": (_cmd_omega, ("--n",)),
+    "hsum-sweep": (_cmd_sweep, {
+        "--n": _N, "--m-from": (0, None), "--m-to": (-1, M_TO_LIMIT), "--parallel": (1, None),
+        "--cache": None,
+    }),
+    "oracle-verify": (_cmd_oracle_verify, {"--n": (1, ORACLE_N_LIMIT), "--m": (0, ORACLE_M_LIMIT)}),
+    "omega": (_cmd_omega, {"--n": (1, OMEGA_N_LIMIT)}),
     "mu": (_cmd_mu, _POINT),
     "chi-orb": (_cmd_chi_orb, _POINT),
     "h1": (_cmd_h1, _POINT),
     "divisor": (_cmd_divisor, _POINT),
-    "polygon": (_cmd_polygon, _POINT),
-    "fit": (_cmd_fit, ("--n", "--degree", "--max-period", "--m-to")),
-    "integral-check": (_cmd_integral_check, _POINT),
-    "bigness": (_cmd_bigness, ("--config",)),
-    "limits": (_cmd_limits, ("--n",)),
+    "polygon": (_cmd_polygon, {"--n": (1, POLYGON_N_LIMIT), "--m": _M}),
+    "fit": (_cmd_fit, {
+        "--n": _N, "--degree": (0, DEGREE_LIMIT), "--max-period": (1, MAX_PERIOD_LIMIT),
+        "--m-to": None,
+    }),
+    "integral-check": (_cmd_integral_check, {"--n": (1, INTEGRAL_N_LIMIT), "--m": _M}),
+    "bigness": (_cmd_bigness, {"--config": None}),
+    "limits": (_cmd_limits, {"--n": (2, LIMITS_N_LIMIT)}),
 }
 
 # flag -> (type, default)
@@ -398,6 +380,19 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 def _dest(flag: str) -> str:
     return flag[2:].replace("-", "_")
+
+
+def _check_bounds(args) -> None:
+    """Hold each flag of the verb to its bounds in _VERBS; a missing value is below them."""
+    for flag, bounds in _VERBS[args.verb][1].items():
+        if bounds is None:
+            continue
+        least, greatest = bounds
+        value = getattr(args, _dest(flag))
+        if value is None or value < least:
+            raise CliInputError(f"{flag} must be an integer >= {least}")
+        if greatest is not None and value > greatest:
+            raise CliInputError(f"{flag} must be <= {greatest}")
 
 
 def _reads_as_flag(token: str, options: dict) -> bool:
@@ -574,6 +569,7 @@ def _run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_bounds(args)
         payload, code = args.handler(args)
     except SystemExit:  # --help, after printing the usage
         return 0

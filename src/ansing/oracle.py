@@ -57,7 +57,7 @@ import functools
 from collections.abc import Sequence
 from itertools import compress
 
-from .monoblocks import TripleIndex, admissible_triples, chart_codims, codim_reg
+from .monoblocks import TripleIndex, admissible_triples, chart_codims
 
 
 # The largest prime below 2^30: residues are one-digit CPython ints, which
@@ -272,9 +272,7 @@ def _interior_tables(n: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
 def hsum_oracle_triple(t: TripleIndex) -> int:
     """Obstruction dimension of one block: (m+1) - rank_ends - forms_dim of
     all n + 2 charts, as the rank of the interior rows on the window."""
-    n, m = t.n, t.m
-    orders = tuple(codim_reg(t, r) for r in range(-1, n + 1))
-    return _system_dim(_interior_tables(n, m), orders, m)
+    return _system_dim(_interior_tables(t.n, t.m), chart_codims(t), t.m)
 
 
 def hsum_oracle(n: int, m: int) -> int:

@@ -434,7 +434,7 @@ def test_every_growth_step_from_two_on_is_positive(terms, degree):
 def test_integral_cubic_fit_leading_coefficient():
     # the exact integral is a cubic polynomial in m whose leading coefficient
     # is the closed-form growth rate; quadratic coefficient is 3x that
-    for n in range(1, 5):
+    for n in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200):
         points = [(m, upper_integral(n, m)) for m in (6, 12, 18, 24)]
         coeffs = _interpolate(points, 3)
         assert coeffs[3] == h0_omega(n)

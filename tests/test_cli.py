@@ -523,12 +523,6 @@ def test_parallel_leaves_sweep_output_unchanged(capsys, tmp_path, parallel, cach
         assert captured.out == serial
 
 
-def test_parallel_below_one_exits_2(capsys):
-    code, captured = run_raw(capsys, _sweep_argv(2, 3) + ["--parallel", "0"])
-    assert code == 2 and captured.out == ""
-    assert "--parallel" in json.loads(captured.err)["error"]
-
-
 SRC = Path(cli.__file__).resolve().parents[1]
 
 
@@ -595,10 +589,7 @@ def test_run_pins_the_int_digit_limit_for_an_embedding_caller():
 
 
 def test_invalid_inputs_exit_2(capsys):
-    code, _ = run_raw(capsys, ["hsum", "--n", "0", "--m", "2"])
-    assert code == 2
-    code, _ = run_raw(capsys, ["hsum", "--n", "1", "--m", "-3"])
-    assert code == 2
+    # a rule across flags, which the verb checks; each flag's own bounds are tested below
     code, _ = run_raw(capsys, ["hsum-sweep", "--n", "1", "--m-from", "5", "--m-to", "2"])
     assert code == 2
 
@@ -698,104 +689,75 @@ def test_help_still_prints_usage_and_exits_0(capsys):
     assert [line.split("ansing ")[1].split()[0] for line in lines] == list(cli._VERBS)
 
 
-@pytest.fixture
-def free_kernels(monkeypatch):
-    """hsum, the oracle, the exact integral, the polygon pieces, the divisor
-    and the limit reports as constants in the CLI's namespace: the tests below check
-    which arguments the bounds admit, not what those arguments cost.  omega
-    runs for real, since what its bound guards is the printing of its exact
-    rates."""
-    monkeypatch.setattr(cli.latticesum, "hsum", lambda n, m: 0)
-    monkeypatch.setattr(cli.oracle, "hsum_oracle", lambda n, m: 0)
-    monkeypatch.setattr(cli.asymptotics, "upper_integral", lambda n, m: 0)
-    monkeypatch.setattr(cli.asymptotics, "pieces", lambda n, m: [])
-    monkeypatch.setattr(cli.extension, "divisor_D", lambda n, m: ())
-    monkeypatch.setattr(cli.asymptotics, "h0_omega_limit_report", lambda n_max: {})
-    monkeypatch.setattr(cli.invariants, "h1_omega_limit_report", lambda n_max: {})
+def _argv_at(verb, values):
+    """`verb` with each bounded flag at its value in `values`, or left out if
+    that is None, and every other bounded flag at its least."""
+    argv = [verb]
+    for flag, bounds in cli._VERBS[verb][1].items():
+        value = values.get(flag, bounds and bounds[0])
+        if value is not None:
+            argv += [flag, str(value)]
+    return argv
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["hsum", "--n", "2", "--m", str(cli.M_LIMIT)],
-        ["mu", "--n", "2", "--m", str(cli.M_LIMIT)],
-        ["oracle-verify", "--n", str(cli.ORACLE_N_LIMIT), "--m", str(cli.ORACLE_M_LIMIT)],
-        ["integral-check", "--n", str(cli.INTEGRAL_N_LIMIT), "--m", str(cli.M_LIMIT)],
-        ["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT)],
-        # and the default --m-to they imply, (degree + 3) * max_period - 1
+def _id(verb, flags, end=""):
+    """A case's id: the verb (hsum-sweep as sweep), its flags (--max-period as
+    period) and the end of the bounds, if it is not the greatest."""
+    names = [{"--max-period": "period"}.get(flag, flag[2:]) for flag in flags]
+    return "-".join([{"hsum-sweep": "sweep"}.get(verb, verb), *names]) + (end and f"-{end}")
+
+
+# each (verb, flag, least, greatest) of the verb table
+BOUNDS = [
+    (verb, flag, *bounds)
+    for verb, (_, flags) in cli._VERBS.items()
+    for flag, bounds in flags.items()
+    if bounds is not None
+]
+# each verb's flags with a greatest value, at it
+TOPS = {verb: {flag: top for v, flag, _, top in BOUNDS if v == verb and top is not None} for verb in cli._VERBS}
+FIT_M_TO = ["fit", "--n", "2", "--m-to"]  # derived by default, so held by the verb
+
+AT_BOUND = [
+    *(pytest.param(_argv_at(v, {flag: least}), id=_id(v, [flag], "least")) for v, flag, least, _ in BOUNDS),
+    *(pytest.param(_argv_at(v, {flag: top}), id=_id(v, [flag])) for v, flag, _, top in BOUNDS if top is not None),
+    *(  # every flag with a greatest at it at once, where a verb has more than one
+        pytest.param(_argv_at(v, tops), id=_id(v, tops)) for v, tops in TOPS.items() if len(tops) > 1
+    ),
+    pytest.param(FIT_M_TO + [str(cli.M_TO_LIMIT)], id="fit-m-to"),
+    # and the default --m-to they imply, (degree + 3) * max_period - 1
+    pytest.param(
         ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT), "--max-period", str(cli.MAX_PERIOD_LIMIT)],
-        ["hsum-sweep", "--n", "2", "--m-from", str(cli.M_TO_LIMIT), "--m-to", str(cli.M_TO_LIMIT)],
-        ["omega", "--n", str(cli.OMEGA_N_LIMIT)],
-        ["polygon", "--n", str(cli.POLYGON_N_LIMIT), "--m", str(cli.M_LIMIT)],
-        ["divisor", "--n", str(cli.N_LIMIT), "--m", str(cli.M_LIMIT)],
-        ["limits", "--n", str(cli.LIMITS_N_LIMIT)],
-        ["chi-orb", "--n", str(cli.N_LIMIT), "--m", str(cli.M_LIMIT)],
-        ["hsum", "--n", str(cli.N_LIMIT), "--m", "2"],
-        ["hsum-sweep", "--n", str(cli.N_LIMIT), "--m-from", "0", "--m-to", "0"],
-        ["fit", "--n", str(cli.N_LIMIT)],
-    ],
-    ids=[
-        "hsum-m", "mu-m", "oracle-verify-n-m", "integral-check-n-m", "fit-m-to",
-        "fit-degree-and-period", "sweep-m-to", "omega-n", "polygon-n-m", "divisor-n-m", "limits-n",
-        "chi-orb-n-m", "hsum-n", "sweep-n", "fit-n",
-    ],
-)
+        id="fit-degree-and-period",
+    ),
+]
+
+BEYOND = [
+    *(
+        pytest.param(_argv_at(v, {flag: least - 1}), f"{flag} must be an integer >= {least}", id=_id(v, [flag], "least"))
+        for v, flag, least, _ in BOUNDS
+    ),
+    *(  # no value counts as one below the least
+        pytest.param(_argv_at(v, {flag: None}), f"{flag} must be an integer >= {least}", id=_id(v, [flag], "missing"))
+        for v, flag, least, _ in BOUNDS
+        if cli._FLAGS[flag][1] is None
+    ),
+    *(
+        pytest.param(_argv_at(v, {flag: top + 1}), f"{flag} must be <= {top}", id=_id(v, [flag]))
+        for v, flag, _, top in BOUNDS
+        if top is not None
+    ),
+    pytest.param(FIT_M_TO + [str(cli.M_TO_LIMIT + 1)], f"--m-to must be <= {cli.M_TO_LIMIT}", id="fit-m-to"),
+    pytest.param(FIT_M_TO + ["-1"], "--m-to must be >= 0", id="fit-m-to-least"),
+]
+
+
+@pytest.mark.parametrize("argv", AT_BOUND)
 def test_arguments_at_their_bound_are_accepted(capsys, free_kernels, argv):
     code, captured = run_raw(capsys, argv + ["--no-timestamp"])
     assert code == 0 and captured.err == ""
 
 
-@pytest.mark.parametrize(
-    "argv, bound",
-    [
-        *(
-            ([verb, "--n", "2", "--m", str(cli.M_LIMIT + 1)], f"--m must be <= {cli.M_LIMIT}")
-            for verb in ("hsum", "h1", "integral-check", "mu", "chi-orb", "divisor", "polygon")
-        ),
-        *(
-            ([verb, "--n", str(cli.N_LIMIT + 1), "--m", "2"], f"--n must be <= {cli.N_LIMIT}")
-            for verb in ("hsum", "mu", "chi-orb", "h1", "divisor")
-        ),
-        (
-            ["oracle-verify", "--n", "2", "--m", str(cli.ORACLE_M_LIMIT + 1)],
-            f"--m must be <= {cli.ORACLE_M_LIMIT}",
-        ),
-        (
-            ["oracle-verify", "--n", str(cli.ORACLE_N_LIMIT + 1), "--m", "2"],
-            f"--n must be <= {cli.ORACLE_N_LIMIT}",
-        ),
-        (
-            ["integral-check", "--n", str(cli.INTEGRAL_N_LIMIT + 1), "--m", "2"],
-            f"--n must be <= {cli.INTEGRAL_N_LIMIT}",
-        ),
-        (["fit", "--n", "2", "--m-to", str(cli.M_TO_LIMIT + 1)], f"--m-to must be <= {cli.M_TO_LIMIT}"),
-        (
-            ["fit", "--n", "2", "--degree", str(cli.DEGREE_LIMIT + 1), "--m-to", "100"],
-            f"--degree must be <= {cli.DEGREE_LIMIT}",
-        ),
-        (
-            ["fit", "--n", "2", "--max-period", str(cli.MAX_PERIOD_LIMIT + 1), "--m-to", "100"],
-            f"--max-period must be <= {cli.MAX_PERIOD_LIMIT}",
-        ),
-        (
-            ["hsum-sweep", "--n", "2", "--m-from", "0", "--m-to", str(cli.M_TO_LIMIT + 1)],
-            f"--m-to must be <= {cli.M_TO_LIMIT}",
-        ),
-        (["omega", "--n", str(cli.OMEGA_N_LIMIT + 1)], f"--n must be <= {cli.OMEGA_N_LIMIT}"),
-        (["polygon", "--n", str(cli.POLYGON_N_LIMIT + 1), "--m", "2"], f"--n must be <= {cli.POLYGON_N_LIMIT}"),
-        (["limits", "--n", str(cli.LIMITS_N_LIMIT + 1)], f"--n must be <= {cli.LIMITS_N_LIMIT}"),
-        (
-            ["hsum-sweep", "--n", str(cli.N_LIMIT + 1), "--m-from", "0", "--m-to", "0"],
-            f"--n must be <= {cli.N_LIMIT}",
-        ),
-        (["fit", "--n", str(cli.N_LIMIT + 1)], f"--n must be <= {cli.N_LIMIT}"),
-    ],
-    ids=[
-        "hsum-m", "h1-m", "integral-check-m", "mu-m", "chi-orb-m", "divisor-m", "polygon-m",
-        "hsum-n", "mu-n", "chi-orb-n", "h1-n", "divisor-n",
-        "oracle-verify-m", "oracle-verify-n", "integral-check-n", "fit-m-to", "fit-degree",
-        "fit-period", "sweep-m-to", "omega-n", "polygon-n", "limits-n", "sweep-n", "fit-n",
-    ],
-)
+@pytest.mark.parametrize("argv, bound", BEYOND)
 def test_arguments_beyond_their_bound_exit_2(capsys, argv, bound):
     assert _assert_json_usage_error(capsys, argv) == bound

@@ -1,13 +1,17 @@
 """Property test: the CLI contract holds for any argv.
 
-Argument lists are built from the verbs, every verb's flags (so each verb
-also meets flags it does not read), small or negative integers and junk
-tokens.  Whatever the input, ``cli.run`` returns instead of raising, the
-exit code is 0, 2 or 3, and every exit 2 prints nothing on stdout and one
-JSON object with an "error" key on stderr.  Inputs stay small enough that
-every accepted call is fast: n <= 12, m <= 20, oracle-verify m <= 8,
-limits --n <= 500; --parallel goes up to 64, since a sweep starts no
-process.  A second property draws the bigness config file itself: the
+Argument lists are built from the verbs and flags of the CLI's tables
+(``cli._VERBS``, ``cli._FLAGS``), so each verb also meets flags it does not
+read, from small or negative integers and from junk tokens.  Whatever the
+input, ``cli.run`` returns instead of raising, the exit code is 0, 2 or 3,
+and every exit 2 prints nothing on stdout and one JSON object with an
+"error" key on stderr.  Inputs stay small enough that every accepted call
+is fast: n <= 12, m <= 20, oracle-verify m <= 8, limits --n <= 500;
+--parallel goes up to 64, since a sweep starts no process.  The same
+property is drawn again for a verb with its own flags, each bounded one
+often at the least or greatest value the verb table gives it or one to
+either side, with the costly kernels stubbed (``free_kernels``).  A second
+property draws the bigness config file itself: the
 rationals in every accepted and rejected form, n and count at and past
 their bounds, and entry lists around their bound.  Files only ever go to a
 temporary directory.  A third property holds the CLI's parser to the
@@ -29,19 +33,13 @@ from unittest import mock
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
 from ansing import asymptotics, bigness, cli  # noqa: E402
 from argparse_oracle import build_parser as reference_parser  # noqa: E402
 
-VERBS = [
-    "hsum", "hsum-sweep", "oracle-verify", "omega", "mu", "chi-orb", "h1",
-    "divisor", "polygon", "fit", "integral-check", "bigness", "limits",
-]
-FLAGS = [
-    "--n", "--m", "--m-from", "--m-to", "--degree", "--max-period", "--parallel",
-    "--cache", "--config",
-]
+VERBS = list(cli._VERBS)
+FLAGS = list(cli._FLAGS)
 JUNK = ["abc", "", "-", "--", "--bogus", "-x", "1.5", "0x10", "--n=abc", "é", "{}", "3 4"]
 SWITCHES = ["--csv", "--json", "--no-timestamp"]
 CONFIGS = {
@@ -56,6 +54,11 @@ PATHS = {
 
 def _ints(low: int, high: int):
     return st.integers(low, high).map(str)
+
+
+def _mostly(admitted, rejected):
+    """Draws from `admitted` nine times in ten, so that most draws are admitted."""
+    return st.integers(0, 9).flatmap(lambda k: rejected if k == 0 else admitted)
 
 
 def _value(verb: str, flag: str):
@@ -86,9 +89,23 @@ def argvs(draw) -> list[str]:
     return tokens
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(argv=argvs())
-def test_cli_contract_holds_for_any_argv(argv):
+@st.composite
+def bound_argvs(draw) -> list[str]:
+    """A verb with most of its own flags, in any order, each bounded one
+    mostly at an end of its bounds in the verb table or next to it."""
+    verb = draw(st.sampled_from(VERBS))
+    tokens = [verb]
+    for flag, bounds in draw(st.permutations(list(cli._VERBS[verb][1].items()))):
+        value = _value(verb, flag)
+        if bounds is not None:
+            ends = [end + step for end in bounds if end is not None for step in (-1, 0, 1)]
+            value = _mostly(st.sampled_from(ends).map(str), value)
+        if draw(st.integers(0, 9)):  # nine times in ten
+            tokens += [flag, draw(value)]
+    return tokens
+
+
+def _assert_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in CONFIGS.items():
             (Path(tmp) / name).write_text(text)
@@ -102,6 +119,21 @@ def test_cli_contract_holds_for_any_argv(argv):
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())
         assert isinstance(error, dict) and list(error) == ["error"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(argv=argvs())
+def test_cli_contract_holds_for_any_argv(argv):
+    _assert_contract(argv)
+
+
+@settings(  # the stubs are constants, so one fixture serves every example
+    derandomize=True, max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=bound_argvs())
+def test_cli_contract_holds_near_every_bound(free_kernels, argv):
+    _assert_contract(argv)
 
 
 @contextlib.contextmanager
@@ -216,7 +248,7 @@ def own_flag_argvs(draw) -> list[str]:
     verb = draw(st.sampled_from(VERBS))
     tokens = [verb]
     for _ in range(draw(st.integers(0, 5))):
-        flag = draw(st.sampled_from(cli._VERBS[verb][1]) | st.sampled_from(SWITCHES))
+        flag = draw(st.sampled_from(list(cli._VERBS[verb][1])) | st.sampled_from(SWITCHES))
         if flag in SWITCHES:
             tokens.append(flag)
             continue
@@ -243,11 +275,6 @@ def test_parser_agrees_with_argparse_on_any_argv(argv):
 
 def _json(values):
     return st.sampled_from(values).map(json.dumps)
-
-
-def _mostly(admitted, rejected):
-    """Draws from `admitted` nine times in ten, so that many configs print."""
-    return st.integers(0, 9).flatmap(lambda k: rejected if k == 0 else admitted)
 
 
 DIGITS = bigness.DIGITS_LIMIT

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -119,6 +120,25 @@ def test_mu_against_complex_float_average():
             approx = total / order
             assert abs(approx.imag) < 1e-9
             assert abs(approx.real - float(mu(n, m))) < 1e-9
+
+
+def test_mu_is_the_oracle_extended_along_each_residue_class():
+    """mu(n, m) for n <= 14 and m far past the cyclotomic oracle's reach.
+
+    With N = n + 1, the trace of Sym^(m+N) g is that of Sym^m g plus the
+    characters of q = m+1..m+N, whose exponents (m - 2q) mod N run over one
+    full period fixed by m mod N.  So the group average gains the same amount
+    every N steps along a residue class mod N: it is linear in m // N there,
+    and the oracle's values at m < 2N fix it for every m.
+    """
+    rng = random.Random(2024)
+    for n in range(1, 15):
+        order = n + 1
+        base = [mu_coordinates(n, m) for m in range(2 * order)]
+        assert not any(coord for coords in base for coord in coords[1:])
+        for m in [*range(400), *(rng.randint(0, 10**6) for _ in range(50))]:
+            low, high = base[m % order][0], base[m % order + order][0]
+            assert mu(n, m) == low + m // order * (high - low), (n, m)
 
 
 def test_h1_examples():

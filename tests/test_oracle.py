@@ -301,7 +301,7 @@ def test_oracle_triple_counts_rank_ends_on_the_boundary_charts_alone(monkeypatch
     for _ in range(300):
         n, m = rng.randint(1, 6), rng.randint(0, 10)
         orders = [rng.randint(0, m + 2) for _ in range(n + 2)]
-        monkeypatch.setattr(oracle, "codim_reg", lambda t, r: orders[r + 1])
+        monkeypatch.setattr(oracle, "chart_codims", lambda t: tuple(orders))
         conditions = [((r + 1, r - n), orders[r + 1]) for r in range(-1, n + 1)]
         assert hsum_oracle_triple(TripleIndex(n, 0, m, m)) == _rank_gap(conditions, m)
 

@@ -1,11 +1,12 @@
-"""The README's Python example runs as written, and its module table names
-only what the modules define."""
+"""The README's Python example runs as written, its module table names only
+what the modules define, and its command-line tables are the CLI's."""
 
 import importlib
 import re
 from pathlib import Path
 
 import ansing
+from ansing import bigness, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +38,36 @@ def test_readme_layout_names_resolve():
             if not hasattr(importlib.import_module(owner), name):
                 missing.append(f"{module}: `{span}`")
     assert not missing
+
+
+def _number(text: str) -> int:
+    return int(text.removesuffix(" bytes").replace(" ", ""))  # "65 536 bytes"
+
+
+def test_readme_command_line_tables_are_the_verb_table():
+    text = README.read_text(encoding="utf-8")
+    # "| `verb`, `verb` | `--flag`, `--flag` |": the flags each verb reads
+    rows = re.findall(r"^\| ((?:`[\w-]+`(?:, )?)+) \| ((?:`--[\w-]+`(?:, )?)+) \|$", text, re.M)
+    flags = {verb: re.findall(r"`(--[\w-]+)`", cell) for verbs, cell in rows for verb in re.findall(r"`([\w-]+)`", verbs)}
+    assert flags == {verb: list(table) for verb, (_, table) in cli._VERBS.items()}
+    # "| `--flag` of `verb`, `verb` and `verb` | greatest | why |", each pair once;
+    # fit's --m-to, derived, is held to M_TO_LIMIT by the verb itself
+    rows = re.findall(r"^\| `(--[\w-]+)` of ([^|]+) \| ([^|]+?) \|", text, re.M)
+    stated = [((verb, flag), _number(top)) for flag, verbs, top in rows for verb in re.findall(r"`([\w-]+)`", verbs)]
+    tops = {
+        (verb, flag): bounds[1]
+        for verb, (_, table) in cli._VERBS.items()
+        for flag, bounds in table.items()
+        if bounds and bounds[1] is not None
+    }
+    assert len(stated) == len(dict(stated))
+    assert dict(stated) == tops | {("fit", "--m-to"): cli.M_TO_LIMIT}
+    # "| `bigness --config`: n / count / ... | 4000 / 1 000 000 / ... | why |"
+    names, tops = re.search(r"^\| `bigness --config`: ([^|]+) \| ([^|]+) \|", text, re.M).groups()
+    assert dict(zip(names.split(" / "), map(_number, tops.split(" / ")))) == {
+        "n": bigness.N_LIMIT,
+        "count": bigness.COUNT_LIMIT,
+        "entries": bigness.ENTRIES_LIMIT,
+        "digits": bigness.DIGITS_LIMIT,
+        "file size": bigness.BYTES_LIMIT,
+    }
