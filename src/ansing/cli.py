@@ -11,9 +11,10 @@ oracle mismatch, integrality failure, or an unfittable sequence).  Every
 exit 2, a usage error included, prints one JSON object {"error": ...} on
 stderr and nothing on stdout.  Each verb accepts only the flags it reads.
 Verification verbs exit nonzero on mismatch so CI can gate on them.
-Rationals are serialized as "p/q" everywhere, timestamps are suppressed with
---no-timestamp, and sweeps can persist rows in an append-only checksummed
-cache.
+Handlers return exact Fractions, written as "p/q" only at output by
+format_rational, the JSON encoder's hook (csv's str() gives the same text).
+Timestamps are suppressed with --no-timestamp, and sweeps can persist rows,
+their rationals already "p/q", in an append-only checksummed cache.
 """
 
 from __future__ import annotations
@@ -40,14 +41,7 @@ class CliInputError(ValueError):
     pass
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    return value
+_JSON = json.JSONEncoder(default=format_rational)  # a type it cannot write raises
 
 
 def _require(condition: bool, message: str) -> None:
@@ -516,7 +510,7 @@ def _csv_rows(payload: dict) -> list[dict]:
         return [
             {
                 "label": piece["label"],
-                "vertices": json.dumps(piece["vertices"]),
+                "vertices": piece["vertices"],
                 **{f"weight_{key}": val for key, val in piece["weight"].items()},
             }
             for piece in payload["pieces"]
@@ -541,7 +535,8 @@ def _emit_csv(payload: dict) -> str:
     for row in rows:
         writer.writerow(
             {
-                key: json.dumps(val) if isinstance(val, (list, dict)) else val
+                # csv writes a Fraction with str(), which is format_rational's "p/q"
+                key: _JSON.encode(val) if isinstance(val, (list, tuple, dict)) else val
                 for key, val in row.items()
             }
         )
@@ -579,7 +574,6 @@ def _run(argv: list[str]) -> int:
     except NoPeriodFitsError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 3
-    payload = _jsonable(payload)
     if args.csv:
         sys.stdout.write(_emit_csv(payload))
     else:
@@ -587,7 +581,7 @@ def _run(argv: list[str]) -> int:
             payload["timestamp"] = (
                 datetime.datetime.now(datetime.timezone.utc).isoformat()
             )
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(_JSON.encode(payload) + "\n")
     return code
 
 

@@ -43,11 +43,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Serialize a rational as "p/q", or "p" when the denominator is 1; as the
+    CLI's json ``default`` hook, any other type raises TypeError."""
+    if isinstance(value, Fraction):
+        return str(value)  # "p/q", or "p" at denominator 1
+    if isinstance(value, int):
+        return str(int(value))  # int() writes a bool as "1" or "0"
+    raise TypeError(f"not a rational: {type(value).__name__}")
 
 
 def scale_to_integers(values: Iterable[int | Fraction]) -> tuple[list[int], int]:

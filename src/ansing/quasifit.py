@@ -62,14 +62,6 @@ def _lagrange(nodes: list[int], values: list[int]) -> tuple[list[int], int]:
     return coeffs, denom
 
 
-def _interpolate(points: list[tuple[int, Fraction]], degree: int) -> tuple[Fraction, ...]:
-    """Exact Lagrange interpolation, returned constant-first, padded to degree+1."""
-    ys, scale = scale_to_integers([y for _, y in points])
-    coeffs, denom = _lagrange([x for x, _ in points], ys)
-    coeffs += [0] * (degree + 1 - len(coeffs))
-    return tuple(Fraction(c, denom * scale) for c in coeffs)
-
-
 def _split_classes(samples: list[tuple[int, int]], period: int) -> list[list[tuple[int, int]]]:
     classes: list[list[tuple[int, int]]] = [[] for _ in range(period)]
     for sample in samples:

@@ -21,7 +21,7 @@ from ansing.asymptotics import (
     _increasing_to,
 )
 from ansing.invariants import h1_omega
-from ansing.quasifit import _interpolate
+from ansing.quasifit import fit
 from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
 from fraction_kernels import integrate_piece_by_fractions
 from lattice_oracle import weight
@@ -433,16 +433,13 @@ def test_every_growth_step_from_two_on_is_positive(terms, degree):
 
 def test_integral_cubic_fit_leading_coefficient():
     # the exact integral is a cubic polynomial in m whose leading coefficient
-    # is the closed-form growth rate; quadratic coefficient is 3x that
+    # is the closed-form growth rate; quadratic coefficient is 3x that.  The
+    # fit interpolates m = 6..24 and checks the cubic at m = 30 and 36.
     for n in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200):
-        points = [(m, upper_integral(n, m)) for m in (6, 12, 18, 24)]
-        coeffs = _interpolate(points, 3)
+        values = tuple((m, upper_integral(n, m)) for m in range(6, 37, 6))
+        (coeffs,) = fit(values, 3, 1).branches
         assert coeffs[3] == h0_omega(n)
         assert coeffs[2] == 3 * h0_omega(n)
-        probe = 30
-        assert sum(c * probe**k for k, c in enumerate(coeffs)) == upper_integral(
-            n, probe
-        )
 
 
 def test_h0_asymptotic_check_example1_bound():

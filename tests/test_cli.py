@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -328,6 +330,60 @@ def test_single_record_csv(capsys):
     assert lines[1] == "2,29/216,67/216"
 
 
+# one small call of each verb; "{cfg}" is a bigness config the test writes
+SMALL_CALLS = {
+    "hsum": ["--n", "2", "--m", "5"],
+    "hsum-sweep": ["--n", "2", "--m-from", "0", "--m-to", "3"],
+    "oracle-verify": ["--n", "2", "--m", "4"],
+    "omega": ["--n", "2"],
+    "mu": ["--n", "2", "--m", "5"],
+    "chi-orb": ["--n", "2", "--m", "5"],
+    "h1": ["--n", "2", "--m", "5"],
+    "divisor": ["--n", "3", "--m", "5"],
+    "polygon": ["--n", "2", "--m", "3"],
+    "fit": ["--n", "1"],
+    "integral-check": ["--n", "2", "--m", "6"],
+    "bigness": ["--config", "{cfg}"],
+    "limits": ["--n", "5"],
+}
+
+
+def _csv_records(payload):
+    """The CSV rows of a JSON payload: a sweep's rows, one row per polygon
+    piece or fit branch with its fields in columns, or the payload itself."""
+    if "rows" in payload:
+        return payload["rows"]
+    if "pieces" in payload:
+        return [
+            {"label": piece["label"], "vertices": piece["vertices"]}
+            | {f"weight_{key}": val for key, val in piece["weight"].items()}
+            for piece in payload["pieces"]
+        ]
+    if "branches" in payload:
+        return [
+            {"residue": idx} | {f"c{k}": c for k, c in enumerate(branch)}
+            for idx, branch in enumerate(payload["branches"])
+        ]
+    return [payload]
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_csv_cells_equal_the_json_values(capsys, tmp_path, verb):
+    # a container cell is the JSON of its value, any other the value's str()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"name": "demo", "s2": "-4/5", "singularities": [{"n": 1, "count": 6}]}))
+    argv = [verb, *(arg.replace("{cfg}", str(cfg)) for arg in SMALL_CALLS[verb]), "--no-timestamp"]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    code, captured = run_raw(capsys, [*argv, "--csv"])
+    assert code == 0 and captured.err == ""
+    expected = [
+        {key: json.dumps(val) if isinstance(val, (list, dict)) else str(val) for key, val in record.items()}
+        for record in _csv_records(payload)
+    ]
+    assert expected and list(csv.DictReader(io.StringIO(captured.out))) == expected
+
+
 def test_deterministic_output_without_timestamp(capsys):
     _, first = run_raw(capsys, ["omega", "--n", "3", "--no-timestamp"])
     _, second = run_raw(capsys, ["omega", "--n", "3", "--no-timestamp"])
@@ -586,6 +642,24 @@ def test_run_pins_the_int_digit_limit_for_an_embedding_caller():
     embedded = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert embedded.stderr.split() == ["0", "640"]
     assert embedded.stdout == _cli_process(argv).stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--n", "2", "--no-timestamp"],
+        ["polygon", "--n", "2", "--m", "3", "--csv"],
+        ["fit", "--n", "3"],
+        ["hsum", "--n", "0", "--m", "3"],
+    ],
+    ids=["omega", "polygon-csv", "fit-exit-3", "hsum-exit-2"],
+)
+def test_run_without_the_digit_limit_setter_gives_the_same_result(capsys, monkeypatch, argv):
+    # Python 3.10.0-3.10.6 have no sys.set_int_max_str_digits: run then
+    # calls the verb under the interpreter's own limit, with the same bytes
+    pinned = run_raw(capsys, argv)
+    monkeypatch.delattr(sys, "set_int_max_str_digits")
+    assert run_raw(capsys, argv) == pinned
 
 
 def test_invalid_inputs_exit_2(capsys):

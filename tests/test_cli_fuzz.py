@@ -1,9 +1,12 @@
 """Property test: the CLI contract holds for any argv.
 
 Argument lists are built from the verbs and flags of the CLI's tables
-(``cli._VERBS``, ``cli._FLAGS``), so each verb also meets flags it does not
-read, from small or negative integers and from junk tokens.  Whatever the
+(``cli._VERBS``, ``cli._FLAGS``).  Nine in ten name a verb with its own
+flags at small or negative integers, so that most reach the handler and its
+real kernels; the others draw any verb and any flag, so each verb also meets
+flags it does not read, with junk tokens among the values.  Whatever the
 input, ``cli.run`` returns instead of raising, the exit code is 0, 2 or 3,
+every exit 0 prints one JSON object, or CSV with a header row under --csv,
 and every exit 2 prints nothing on stdout and one JSON object with an
 "error" key on stderr.  Inputs stay small enough that every accepted call
 is fast: n <= 12, m <= 20, oracle-verify m <= 8, limits --n <= 500;
@@ -22,6 +25,7 @@ values, both reject it, or both print the usage.  Needs hypothesis (the
 """
 
 import contextlib
+import csv
 import functools
 import io
 import json
@@ -61,22 +65,27 @@ def _mostly(admitted, rejected):
     return st.integers(0, 9).flatmap(lambda k: rejected if k == 0 else admitted)
 
 
-def _value(verb: str, flag: str):
+def _small(verb: str, flag: str):
+    """A path for `flag`, or a small integer: every accepted call is fast."""
     if flag in PATHS:
         return st.sampled_from(PATHS[flag])
     if flag == "--n":
-        number = _ints(-3, 500 if verb == "limits" else 12)
-    elif flag == "--m":
-        number = _ints(-3, 8 if verb == "oracle-verify" else 20)
-    elif flag == "--parallel":
-        number = _ints(-2, 64)
-    else:  # --m-from, --m-to, --degree, --max-period
-        number = _ints(-3, 20 if flag.startswith("--m-") else 12)
-    return number | st.sampled_from(JUNK)
+        return _ints(-3, 500 if verb == "limits" else 12)
+    if flag == "--m":
+        return _ints(-3, 8 if verb == "oracle-verify" else 20)
+    if flag == "--parallel":
+        return _ints(-2, 64)
+    # --m-from, --m-to, --degree, --max-period
+    return _ints(-3, 20 if flag.startswith("--m-") else 12)
+
+
+def _value(verb: str, flag: str):
+    value = _small(verb, flag)
+    return value if flag in PATHS else value | st.sampled_from(JUNK)
 
 
 @st.composite
-def argvs(draw) -> list[str]:
+def any_argvs(draw) -> list[str]:
     verb = draw(st.sampled_from([*VERBS, "frobnicate"]) | st.none())
     tokens = [] if verb is None else [verb]
     for _ in range(draw(st.integers(0, 6))):
@@ -87,6 +96,22 @@ def argvs(draw) -> list[str]:
         else:
             tokens.append(draw(st.sampled_from(SWITCHES if kind == "switch" else JUNK)))
     return tokens
+
+
+@st.composite
+def own_argvs(draw) -> list[str]:
+    """A verb with most of its own flags, in any order, at small values, and
+    some switches: most of these reach the verb's handler."""
+    verb = draw(st.sampled_from(VERBS))
+    tokens = [verb]
+    for flag in draw(st.permutations(list(cli._VERBS[verb][1]))):
+        if draw(st.integers(0, 9)):  # nine times in ten
+            tokens += [flag, draw(_small(verb, flag))]
+    return tokens + draw(st.lists(st.sampled_from(SWITCHES), max_size=2))
+
+
+def argvs():
+    return _mostly(own_argvs(), any_argvs())
 
 
 @st.composite
@@ -114,7 +139,11 @@ def _assert_contract(argv):
             code = cli.run([token.replace("{tmp}", tmp) for token in argv])
     assert code in (0, 2, 3)
     if code == 0:
-        assert out.getvalue() and err.getvalue() == ""
+        assert err.getvalue() == ""
+        if "--csv" in argv:
+            assert next(csv.reader(io.StringIO(out.getvalue())))  # a header row
+        else:
+            assert isinstance(json.loads(out.getvalue()), dict)
     if code == 2:
         assert out.getvalue() == ""
         error = json.loads(err.getvalue())
@@ -259,7 +288,7 @@ def own_flag_argvs(draw) -> list[str]:
 
 @st.composite
 def parser_argvs(draw) -> list[str]:
-    argv = draw(argvs() | own_flag_argvs())
+    argv = draw(any_argvs() | own_flag_argvs())
     for _ in range(draw(st.integers(0, 2))):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(PARSER_TOKENS)))
     # --flag=-- parts from argparse on purpose (the test above)

@@ -60,6 +60,12 @@ def test_rational_string_codec():
     assert format_rational(F(29, 216)) == "29/216"
     assert format_rational(F(-7, 216)) == "-7/216"
     assert format_rational(F(3)) == "3"
+    assert format_rational(-12) == "-12" and format_rational(0) == "0"
+    assert format_rational(True) == "1"
+    # json's default hook in the CLI: whatever is not a rational fails loudly
+    for stray in ({F(1, 2)}, 0.5, "1/2", None, [F(1)]):
+        with pytest.raises(TypeError):
+            format_rational(stray)
     assert parse_rational("29/216") == F(29, 216)
     assert parse_rational("-5") == F(-5)
     for value in (F(0), F(7, 3), F(-22, 7), F(41)):

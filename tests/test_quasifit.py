@@ -3,10 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from ansing.exactmath import QuasiPolynomial
+from ansing.exactmath import QuasiPolynomial, scale_to_integers
 from ansing.invariants import mu
 from ansing.latticesum import hsum
-from ansing.quasifit import InsufficientSamplesError, NoPeriodFitsError, _interpolate, fit
+from ansing.quasifit import InsufficientSamplesError, NoPeriodFitsError, _lagrange, fit
 from fraction_kernels import fit_by_fractions, interpolate_by_fractions
 
 EXAMPLE1_BRANCHES = (
@@ -98,15 +98,18 @@ def _outcome(fitter, values, degree, max_period):
 
 def test_interpolate_matches_fraction_oracle_on_random_nodes():
     # distinct nodes >= 0 in any order and spacing, values over unrelated
-    # denominators, and padding past the number of nodes
+    # denominators, scaled to integers as fit scales them, and padding past
+    # the number of nodes
     rng = random.Random(20)
     for _ in range(300):
         nodes = rng.sample(range(300), rng.randint(1, 9))
         points = [(x, F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))) for x in nodes]
         degree = len(points) - 1 + rng.randint(0, 2)
-        coeffs = _interpolate(points, degree)
-        assert all(isinstance(c, F) for c in coeffs)
-        assert coeffs == interpolate_by_fractions(points, degree), points
+        ys, scale = scale_to_integers([y for _, y in points])
+        coeffs, denom = _lagrange(nodes, ys)
+        assert denom > 0 and all(type(c) is int for c in coeffs)
+        padded = [F(c, denom * scale) for c in coeffs] + [F(0)] * (degree + 1 - len(coeffs))
+        assert tuple(padded) == interpolate_by_fractions(points, degree), points
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
