@@ -190,7 +190,7 @@ def __getattr__(name: str):
 # --n 4 --degree 20 --max-period 40 --m-to 1500, integral-check --n 1000
 # --m 1000000, divisor --n 1000000 --m 1000000, polygon --n 10000
 # --m 1000000, limits --n 100000.  oracle-verify --n 16 --m 30 takes about
-# 0.5 s in a fresh process, 0.36 s of it in the oracle's modular ranks.
+# 0.12 s in a fresh process, 0.05-0.07 s of it in hsum_oracle.
 M_LIMIT = 1_000_000
 N_LIMIT = 1_000_000  # mu's cost grows with n
 M_TO_LIMIT = 1500  # fit and hsum-sweep: hsum at every m up to it

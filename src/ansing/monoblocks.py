@@ -2,16 +2,20 @@
 
 Invariant differential monomials of degree m on the smoothing plane group
 into blocks of m+1 monomials.  A block is indexed by a triple (khat, i, m)
-subject to the parity constraint (n+1)*khat == i+m (mod 2); the functions
-here enumerate the admissible blocks (``admissible_triples``, the one block
-loop of the package), give the order of a block on each resolution chart r
-(``chart_order``, the one copy of that affine form), and count how many
-monomials of a block fail to be regular along the exceptional curve meeting
-that chart (``codim_reg`` for one chart, ``chart_codims`` for all n + 2).
+subject to the parity constraint (n+1)*khat == i+m (mod 2).  One integer
+loop over (khat, i) enumerates the admissible blocks; ``admissible_triples``
+yields them as TripleIndex objects, and ``chart_codim_counts`` counts the
+blocks of each chart-codimension tuple on the same loop without building
+one.  ``chart_order`` gives the order of a block on each resolution chart r
+(its affine form is written once, on the block's integers, so the loop reads
+it too), and ``codim_reg`` (one chart) and ``chart_codims`` (all n + 2)
+count how many monomials of a block fail to be regular along the
+exceptional curve meeting that chart.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,6 +58,16 @@ class TripleIndex:
         return (self.n + 1) * abs(self.khat) <= self.i + self.m
 
 
+def _blocks(n: int, m: int, i_max: int) -> Iterator[tuple[int, int]]:
+    """(khat, i) of every admissible block with 0 <= i <= i_max, by
+    increasing i, then khat: the one block loop of the package."""
+    for i in range(i_max + 1):
+        bound = (i + m) // (n + 1)
+        for khat in range(-bound, bound + 1):
+            if parity_holds(n, khat, i, m):
+                yield khat, i
+
+
 def admissible_triples(n: int, m: int, i_max: int | None = None) -> Iterator[TripleIndex]:
     """The admissible triples with 0 <= i <= i_max, by increasing i, then khat.
 
@@ -62,11 +76,16 @@ def admissible_triples(n: int, m: int, i_max: int | None = None) -> Iterator[Tri
     """
     if i_max is None:
         i_max = (n + 1) * m + n
-    for i in range(i_max + 1):
-        bound = (i + m) // (n + 1)
-        for khat in range(-bound, bound + 1):
-            if parity_holds(n, khat, i, m):
-                yield TripleIndex(n, khat, i, m)
+    for khat, i in _blocks(n, m, i_max):
+        yield TripleIndex(n, khat, i, m)
+
+
+def _order(n: int, khat: int, i: int, m: int, r: int) -> int:
+    """``chart_order`` of the block (n, khat, i, m), from its integers."""
+    twice = (i - m) + (n - 1 - 2 * r) * khat
+    if twice % 2:
+        raise ArithmeticError(f"chart order is not integral: {twice}/2")
+    return twice // 2
 
 
 def chart_order(t: TripleIndex, r: int) -> int:
@@ -75,11 +94,9 @@ def chart_order(t: TripleIndex, r: int) -> int:
 
     The numerator is congruent to (i + m) + (n + 1) khat mod 2, which the
     parity of TripleIndex makes even; an odd one raises ArithmeticError.
+    The block loop, which builds no TripleIndex, reads the same affine form.
     """
-    twice = (t.i - t.m) + (t.n - 1 - 2 * r) * t.khat
-    if twice % 2:
-        raise ArithmeticError(f"chart order is not integral: {twice}/2")
-    return twice // 2
+    return _order(t.n, t.khat, t.i, t.m, r)
 
 
 def codim_reg(t: TripleIndex, r: int) -> int:
@@ -91,14 +108,28 @@ def codim_reg(t: TripleIndex, r: int) -> int:
     return max(0, -chart_order(t, r))
 
 
-def chart_codims(t: TripleIndex) -> tuple[int, ...]:
-    """codim_reg(t, r) for r = -1..n, as one tuple.
-
-    The chart order i1(r) is affine in r with slope -khat, so all n + 2 values
-    follow from i1(-1) alone, stepping by -khat.
-    """
-    start = chart_order(t, -1)
-    if not t.khat:
-        return (max(0, -start),) * (t.n + 2)
-    orders = range(start, start - (t.n + 2) * t.khat, -t.khat)
+def _codims(n: int, khat: int, i: int, m: int) -> tuple[int, ...]:
+    """codim_reg on charts r = -1..n of the block (khat, i), from i1(-1)
+    stepping by -khat (i1 is affine in r with slope -khat).  The orders are
+    all >= 0 when both end orders are, so such a block skips the steps."""
+    start = _order(n, khat, i, m, -1)
+    end = start - (n + 1) * khat
+    if start >= 0 and end >= 0:
+        return (0,) * (n + 2)
+    if not khat:
+        return (-start,) * (n + 2)
+    orders = range(start, end - khat, -khat)
     return tuple([0 if order >= 0 else -order for order in orders])
+
+
+def chart_codims(t: TripleIndex) -> tuple[int, ...]:
+    """codim_reg(t, r) for r = -1..n, as one tuple."""
+    return _codims(t.n, t.khat, t.i, t.m)
+
+
+def chart_codim_counts(n: int, m: int, i_max: int) -> Counter[tuple[int, ...]]:
+    """How many admissible blocks with 0 <= i <= i_max have each tuple of
+    chart codimensions: the multiset of ``chart_codims`` over
+    ``admissible_triples(n, m, i_max)``, taken on the same loop without
+    building a TripleIndex per block."""
+    return Counter(_codims(n, khat, i, m) for khat, i in _blocks(n, m, i_max))

@@ -38,26 +38,57 @@ row sits in its column, so each call checks the rows of both boundary tables
 once, before any system is ranked, and raises ArithmeticError otherwise.
 
 Within one (n, m) the points and m are the same for every block, so a
-block's dimension is fixed by its tuple of n + 2 chart orders
-(``monoblocks.chart_codims``).  ``hsum_oracle`` ranks each distinct nonzero
-tuple once, keeping the dimensions in a dict local to the call.  No system is
-skipped on the strength of an argument: every distinct one is ranked.
+block's dimension is fixed by its tuple of n + 2 chart orders.
+``monoblocks.chart_codim_counts`` gives each distinct tuple with its number
+of blocks, from the integer block loop, and ``hsum_oracle`` ranks each
+distinct nonzero tuple once and weights it by that number.  No system is
+skipped on the strength of an argument: every distinct one gets its own
+rank certificate.
 
-Ranks are computed, never assumed, and are exact over Q: ``rank`` takes the
-singleton rows as pivots over Z and certifies the rank of the remainder mod
-p, with a Bareiss fallback.  By Hermite interpolation on P^1 every system of
-distinct points has full rank, and so has what is left of it once the
-singleton columns are deleted: on the oracle's windows the certificate holds
-unless p divides a maximal minor.
+The systems of one window share one echelon basis over F_p, for the fixed
+prime p = 2^30 - 35; each interior table is reduced mod p once per call.  A
+window's tuples are taken by increasing interior row count, and each inserts
+only the rows it adds to the tuple before it: on chart r, rows c'_r..c_r - 1,
+for the previous tuple's c'_r.  Its rank mod p, rank_p, is the size of the
+basis after those rows, and once the basis spans the window nothing more is
+inserted.  A minor that is nonzero mod p is nonzero over Z, so
+rank_p <= rank over Q <= min(rows, columns); when rank_p reaches that bound
+it is the rank, and otherwise the tuple's integer rows go to ``rank``, which
+takes the singleton rows as pivots over Z, certifies the rest mod p and
+falls back to fraction-free Bareiss elimination.  ``hsum_oracle_triple``
+ranks its one block with ``rank`` directly, so it is an independent
+reference for the shared basis.
+
+Inserting only the new rows is right when each tuple of a window contains
+the one before it, c_r >= c'_r on every chart, and on blocks it always does.
+The window fixes both boundary orders, c_n = low and c_-1 = m + 1 - high
+(the two sum to at most m, so high > low).  The chart order is affine in r,
+i1(r) = i1(n) + (n - r) khat.  With a pole at both ends, i1(-1) = -c_-1 and
+i1(n) = -c_n fix it, and the window holds one tuple.  With a pole at chart n
+only, i1(n) = -c_n < 0 <= i1(-1) = -c_n + (n + 1) khat, so khat > 0 and
+every c_r = max(0, c_n - (n - r) khat) is non-increasing in khat: the
+window's tuples form one chain under containment, and distinct tuples of a
+chain have distinct row counts, so the sort takes them up the chain.  A pole
+at chart -1 only is the mirror image, with khat < 0 and |khat| in its place,
+and with no pole at either end every order is 0, a tuple never ranked.
+``hsum_oracle`` still compares each tuple with the one before it and, should
+one not contain it, clears the basis and starts again from that tuple's rows,
+so the count never rests on this argument.
+
+By Hermite interpolation on P^1 every system of distinct points has full
+rank, and so has what is left of it once the singleton columns are deleted:
+on the oracle's windows the certificate holds unless p divides a maximal
+minor, which costs time, never correctness.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Sequence
 from itertools import compress
 
-from .monoblocks import TripleIndex, admissible_triples, chart_codims
+from .monoblocks import TripleIndex, chart_codim_counts, chart_codims
 
 
 # The largest prime below 2^30: residues are one-digit CPython ints, which
@@ -247,6 +278,13 @@ def _check_boundary_columns(n: int, m: int) -> None:
                 raise ArithmeticError(f"boundary row {t} at {point} is not a singleton in column {column}: {row}")
 
 
+def _window(orders: tuple[int, ...], m: int) -> tuple[int, int]:
+    """The columns [orders[-1], m+1-orders[0]) the boundary rows leave,
+    empty when the two boundary orders cover all m + 1."""
+    low = orders[-1]
+    return low, max(low, m + 1 - orders[0])
+
+
 def _system_dim(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ...], m: int) -> int:
     """(m+1) - rank_ends - forms_dim of the charts with the given orders.
 
@@ -257,8 +295,7 @@ def _system_dim(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ..
     """
     if not any(orders):
         return 0
-    low = orders[-1]
-    high = max(low, m + 1 - orders[0])
+    low, high = _window(orders, m)
     rows = [row[low:high] for table, order in zip(tables, orders[1:-1]) for row in table[:order]]
     return rank(rows, high - low)
 
@@ -275,24 +312,78 @@ def hsum_oracle_triple(t: TripleIndex) -> int:
     return _system_dim(_interior_tables(t.n, t.m), chart_codims(t), t.m)
 
 
+def _insert(basis: list[tuple[int, list[int]]], row: list[int], p: int) -> None:
+    """Reduce a row mod p against an echelon basis and add what is left.
+
+    Each basis entry is (pivot column, row with 1 there), and each row is
+    zero on the pivot columns of the rows added before it, so one pass in
+    the order of insertion clears every pivot column of the new row.
+    """
+    for col, pivot_row in basis:
+        factor = row[col]
+        if factor:
+            row = [(x - factor * y) % p for x, y in zip(row, pivot_row)]
+    for col, x in enumerate(row):
+        if x:
+            inverse = pow(x, -1, p)
+            basis.append((col, [y * inverse % p for y in row]))
+            return
+
+
+def _certified(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ...], rows: int, rank_p: int, m: int) -> int:
+    """The rank over Q of the system of the given orders, whose rows have
+    rank rank_p over F_p; rows is at least their number (the sum of the
+    interior orders, which counts a row past t = m that the table lacks).
+
+    rank_p <= rank over Q <= min(rows, columns), so rank_p is the rank when
+    it reaches that bound; otherwise the system is ranked over Z as
+    ``hsum_oracle_triple`` ranks a block (``_system_dim``).
+    """
+    low, high = _window(orders, m)
+    if rank_p == min(rows, high - low):
+        return rank_p
+    return _system_dim(tables, orders, m)
+
+
 def hsum_oracle(n: int, m: int) -> int:
     """Brute-force obstruction count: blockwise rank gaps, summed.
 
     Scans the block range 0 <= i <= n*m - 1; blocks beyond it extend
     holomorphically and contribute nothing (the formula-side enumeration
     covers a superset, so a discrepancy there would surface as a mismatch).
-    Blocks with the same chart orders stack the same system, so each
-    distinct system is ranked once per call.
+    Each distinct nonzero chart-order tuple is ranked once and counted by
+    its number of blocks.  The tuples of one window share one echelon basis
+    mod p, taken in the order of their interior row counts, and each adds
+    the rows it has beyond the tuple before it; once the basis spans the
+    window nothing more is added.  A tuple that does not contain the one
+    before it on every chart clears the basis and starts it again from its
+    own rows; on blocks that never happens (module docstring).
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
     tables = _interior_tables(n, m)
-    dims: dict[tuple[int, ...], int] = {}
+    counts = chart_codim_counts(n, m, n * m - 1)
+    windows: dict[tuple[int, int], list[tuple[int, tuple[int, ...]]]] = {}
+    for orders in counts:
+        if any(orders):
+            windows.setdefault(_window(orders, m), []).append((sum(orders[1:-1]), orders))
+    p = _PRIME
+    reduced = [[[x % p for x in row] for row in table] for table in tables]
     total = 0
-    for t in admissible_triples(n, m, n * m - 1):
-        orders = chart_codims(t)
-        dim = dims.get(orders)
-        if dim is None:
-            dim = dims[orders] = _system_dim(tables, orders, m)
-        total += dim
+    for (low, high), systems in windows.items():
+        systems.sort()
+        basis: list[tuple[int, list[int]]] = []
+        done = (0,) * n
+        for rows, orders in systems:
+            interior = orders[1:-1]
+            if any(map(operator.lt, interior, done)):
+                basis.clear()
+                done = (0,) * n
+            for table, start, stop in zip(reduced, done, interior):
+                for row in table[start:stop]:
+                    if len(basis) == high - low:
+                        break
+                    _insert(basis, row[low:high], p)
+            done = interior
+            total += counts[orders] * _certified(tables, orders, rows, len(basis), m)
     return total

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from ansing.monoblocks import (
     ParityError,
     TripleIndex,
     admissible_triples,
+    chart_codim_counts,
     chart_codims,
     chart_order,
     codim_reg,
@@ -134,3 +136,12 @@ def test_admissible_triples_is_every_admissible_block_in_order():
             assert list(admissible_triples(n, m)) == list(
                 admissible_triples(n, m, (n + 1) * m + n)
             )
+
+
+def test_chart_codim_counts_is_the_multiset_of_chart_codims():
+    # the oracle's tuples, counted on the block loop without a TripleIndex
+    for n in range(1, 9):
+        for m in range(0, 13):
+            for i_max in (-1, 0, n * m - 1, (n + 1) * m + n):
+                blocks = admissible_triples(n, m, i_max)
+                assert chart_codim_counts(n, m, i_max) == Counter(chart_codims(t) for t in blocks)

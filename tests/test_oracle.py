@@ -1,10 +1,13 @@
+import json
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from ansing import oracle
+from ansing import cli, oracle
 from ansing.cli import ORACLE_M_LIMIT, ORACLE_N_LIMIT
 from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples
@@ -360,7 +363,57 @@ def test_hsum_oracle_is_the_sum_of_its_blocks():
             assert hsum_oracle(n, m) == sum(hsum_oracle_triple(t) for t in blocks)
 
 
-def test_hsum_oracle_ranks_each_distinct_system_once(monkeypatch):
+def test_hsum_oracle_certifies_each_distinct_system_once(monkeypatch):
+    # every distinct nonzero tuple gets one certificate, a window's shared
+    # basis takes no more rows than its largest system has, and at the real
+    # prime no certificate fails, so rank never runs
+    events = []
+    certified, insert = oracle._certified, oracle._insert
+
+    def counted_insert(basis, row, p):
+        events.append(None)
+        insert(basis, row, p)
+
+    def counted_certified(tables, orders, rows, rank_p, m):
+        events.append(orders)
+        return certified(tables, orders, rows, rank_p, m)
+
+    def no_rank(rows, ncols):
+        raise AssertionError(f"rank called on a {len(rows)}x{ncols} oracle system")
+
+    monkeypatch.setattr(oracle, "_insert", counted_insert)
+    monkeypatch.setattr(oracle, "_certified", counted_certified)
+    monkeypatch.setattr(oracle, "rank", no_rank)
+    saved = 0
+    for n in range(1, 9):
+        for m in range(0, 11):
+            blocks = admissible_triples(n, m, n * m - 1)
+            systems = [tuple(order for _, order in chart_conditions(t)) for t in blocks]
+            nonzero = [orders for orders in systems if any(orders)]
+            events.clear()
+            assert hsum_oracle(n, m) == hsum(n, m)
+            certificates = [orders for orders in events if orders is not None]
+            assert sorted(certificates) == sorted(set(nonzero))
+            # each insertion belongs to the certificate that follows it
+            inserted, largest = Counter(), Counter()
+            pending = 0
+            for orders in events:
+                if orders is None:
+                    pending += 1
+                    continue
+                window = (orders[-1], m + 1 - orders[0])
+                inserted[window] += pending
+                largest[window] = max(largest[window], sum(orders[1:-1]))
+                pending = 0
+            assert pending == 0
+            assert all(inserted[window] <= largest[window] for window in inserted)
+            saved += len(nonzero) - len(certificates)
+    assert saved > 0
+
+
+def test_hsum_oracle_falls_back_to_rank_when_certificates_fail(monkeypatch):
+    # mod 5 the derivative rows lose rank, so certificates fail and those
+    # systems' integer rows go to rank; the count must not move
     calls = []
     counted_rank = oracle.rank
 
@@ -369,17 +422,58 @@ def test_hsum_oracle_ranks_each_distinct_system_once(monkeypatch):
         return counted_rank(rows, ncols)
 
     monkeypatch.setattr(oracle, "rank", counted)
-    saved = 0
-    for n in range(1, 9):
+    monkeypatch.setattr(oracle, "_PRIME", 5)
+    fallbacks = 0
+    for n in range(1, 7):
         for m in range(0, 11):
-            blocks = admissible_triples(n, m, n * m - 1)
-            systems = [tuple(order for _, order in chart_conditions(t)) for t in blocks]
-            nonzero = [orders for orders in systems if any(orders)]
             calls.clear()
-            hsum_oracle(n, m)
-            assert len(calls) == len(set(nonzero))
-            saved += len(nonzero) - len(calls)
-    assert saved > 0
+            total = hsum_oracle(n, m)
+            fallbacks += len(calls)
+            assert total == hsum(n, m)
+            assert total == sum(hsum_oracle_triple(t) for t in admissible_triples(n, m, n * m - 1))
+    assert fallbacks > 0
+
+
+def test_hsum_oracle_restarts_the_basis_on_tuples_that_do_not_nest(monkeypatch):
+    # orders no block has: tuples of one window that do not contain one
+    # another, half the time on random interior tables whose systems lose
+    # rank, so a basis kept across such tuples would certify a wrong rank
+    rng = random.Random(6174)
+    table = oracle._derivative_table
+    unnested = 0
+    for trial in range(200):
+        n, m = rng.randint(1, 5), rng.randint(1, 8)
+        if trial % 2:
+            random_tables = {
+                (r + 1, r - n): tuple(tuple(rng.randint(-1, 1) for _ in range(m + 1)) for _ in range(m + 1))
+                for r in range(n)
+            }
+            monkeypatch.setattr(oracle, "_derivative_table", lambda point, m: random_tables.get(point) or table(point, m))
+        else:
+            monkeypatch.setattr(oracle, "_derivative_table", table)
+        first = rng.randint(0, m)
+        last = rng.randint(0, m - first)
+        counts = Counter()
+        for _ in range(rng.randint(2, 6)):
+            interior = tuple(rng.randint(0, m + 2) for _ in range(n))
+            counts[(first, *interior, last)] += rng.randint(1, 3)
+        chain = sorted(counts, key=lambda orders: sum(orders[1:-1]))
+        unnested += sum(any(map(operator.lt, b, a)) for a, b in zip(chain, chain[1:]))
+        monkeypatch.setattr(oracle, "chart_codim_counts", lambda n, m, i_max: counts)
+        expected = sum(
+            count * _rank_gap([((r + 1, r - n), orders[r + 1]) for r in range(-1, n + 1)], m)
+            for orders, count in counts.items()
+        )
+        assert hsum_oracle(n, m) == expected
+    assert unnested > 0
+
+
+def test_oracle_verify_matches_at_the_corners_of_its_bounds(capsys):
+    for n in (1, ORACLE_N_LIMIT):
+        for m in (0, 1, ORACLE_M_LIMIT - 1, ORACLE_M_LIMIT):
+            assert cli.run(["oracle-verify", "--n", str(n), "--m", str(m), "--no-timestamp"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["match"] and payload["oracle"] == payload["formula"] == hsum(n, m)
 
 
 def test_rank_over_q_with_zero_rows_and_signed_singletons(monkeypatch):
