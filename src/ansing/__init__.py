@@ -13,7 +13,7 @@ from .extension import divisor_D, extends_holomorphically, pole_profile
 from .invariants import chi_orb, h1, h1_omega, mu
 from .latticesum import hsum, polygon
 from .monoblocks import TripleIndex
-from .oracle import hsum_oracle, hsum_oracle_triple
+from .oracle import hsum_oracle
 from .quasifit import fit
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "h1_omega",
     "hsum",
     "hsum_oracle",
-    "hsum_oracle_triple",
     "mu",
     "parse_rational",
     "pieces",

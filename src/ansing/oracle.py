@@ -2,16 +2,16 @@
 
 Independently of the closed weight formula, the obstruction dimension of a
 block is a gap between two spaces of degree-m binary forms cut out by
-point-vanishing conditions.  ``forms_dim(conditions, m)`` is the dimension
-of the forms that vanish to each given order at each given point, (m+1)
-minus the exact rank of the stacked derivative rows of the points
-(``_derivative_table``).  Chart r contributes order codim_reg(t, r) at the
+point-vanishing conditions.  The forms that vanish to each given order at
+each given point have dimension (m+1) minus the exact rank of the stacked
+derivative rows of the points, the first `order` rows of each point's
+``_derivative_table``.  Chart r contributes order codim_reg(t, r) at the
 point [r+1 : r-n] of the projective line; the points for r = -1..n are
 pairwise distinct.  The regular part of the block is cut out by the two
 boundary charts r in {-1, n}, of rank rank_ends, and the unobstructed part
-by all n + 2 charts, so
+by all n + 2 charts, of rank rank_all, so
 
-    oracle dimension = (m+1) - rank_ends - forms_dim(all charts, m).
+    oracle dimension = rank_all - rank_ends.
 
 rank_ends takes no elimination.  At [0 : -n-1] the t-th derivative row has
 one nonzero entry, in column m - t, and at [n+1 : 0] one, in column t; rows
@@ -20,9 +20,9 @@ columns, so rank_ends is the number of distinct columns they hit: the first
 c_-1 = codim_reg(t, -1) rows at [0 : -n-1] hit the columns from m+1-c_-1 up,
 and the first c_n rows at [n+1 : 0] the columns below c_n.
 
-The same singleton rows settle most of the other side.  The rank of all
-charts is rank_ends plus the rank of the interior rows (charts r = 0..n-1)
-with the boundary columns deleted, so the two rank_ends cancel and
+The same singleton rows settle most of rank_all: it is rank_ends plus the
+rank of the interior rows (charts r = 0..n-1) with the boundary columns
+deleted, so the two rank_ends cancel and
 
     oracle dimension = rank of the interior rows on the window [c_n, m+1-c_-1),
 
@@ -37,6 +37,13 @@ empty window and dimension 0.  The window is only right if every boundary
 row sits in its column, so each call checks the rows of both boundary tables
 once, before any system is ranked, and raises ArithmeticError otherwise.
 
+Every rank is taken by one eliminator over F_p, for the fixed prime
+p = 2^30 - 35: ``_insert`` reduces a row mod p against an echelon basis and
+adds what is left.  A minor that is nonzero mod p is nonzero over Z, so
+rank_p <= rank over Q <= min(nonzero rows, columns); when rank_p reaches
+that bound it is the rank, and otherwise p may have hidden a pivot and the
+rows are ranked again by fraction-free Bareiss elimination over Z.
+
 Within one (n, m) the points and m are the same for every block, so a
 block's dimension is fixed by its tuple of n + 2 chart orders.
 ``monoblocks.chart_codim_counts`` gives each distinct tuple with its number
@@ -45,19 +52,16 @@ distinct nonzero tuple once and weights it by that number.  No system is
 skipped on the strength of an argument: every distinct one gets its own
 rank certificate.
 
-The systems of one window share one echelon basis over F_p, for the fixed
-prime p = 2^30 - 35; each interior table is reduced mod p once per call.  A
-window's tuples are taken by increasing interior row count, and each inserts
-only the rows it adds to the tuple before it: on chart r, rows c'_r..c_r - 1,
-for the previous tuple's c'_r.  Its rank mod p, rank_p, is the size of the
-basis after those rows, and once the basis spans the window nothing more is
-inserted.  A minor that is nonzero mod p is nonzero over Z, so
-rank_p <= rank over Q <= min(rows, columns); when rank_p reaches that bound
-it is the rank, and otherwise the tuple's integer rows go to ``rank``, which
-takes the singleton rows as pivots over Z, certifies the rest mod p and
-falls back to fraction-free Bareiss elimination.  ``hsum_oracle_triple``
-ranks its one block with ``rank`` directly, so it is an independent
-reference for the shared basis.
+The systems of one window share one echelon basis; each interior table is
+reduced mod p once per call.  A window's tuples are taken by increasing
+interior row count, and each inserts only the rows it adds to the tuple
+before it: on chart r, rows c'_r..c_r - 1, for the previous tuple's c'_r.
+Its rank_p is the size of the basis after those rows, and once the basis
+spans the window nothing more is inserted.  A tuple whose certificate fails
+sends its integer rows to ``rank``, which builds a basis of its own.
+``hsum_oracle_triple`` ranks its one block with ``rank`` directly, with no
+sharing, sorting or restart, so it is an independent reference for the
+shared basis.
 
 Inserting only the new rows is right when each tuple of a window contains
 the one before it, c_r >= c'_r on every chart, and on blocks it always does.
@@ -76,7 +80,7 @@ one not contain it, clears the basis and starts again from that tuple's rows,
 so the count never rests on this argument.
 
 By Hermite interpolation on P^1 every system of distinct points has full
-rank, and so has what is left of it once the singleton columns are deleted:
+rank, and so has what is left of it once the boundary columns are deleted:
 on the oracle's windows the certificate holds unless p divides a maximal
 minor, which costs time, never correctness.
 """
@@ -86,7 +90,6 @@ from __future__ import annotations
 import functools
 import operator
 from collections.abc import Sequence
-from itertools import compress
 
 from .monoblocks import TripleIndex, chart_codim_counts, chart_codims
 
@@ -96,20 +99,6 @@ from .monoblocks import TripleIndex, chart_codim_counts, chart_codims
 # time, never correctness: p dividing a maximal minor only sends the rank to
 # Bareiss.
 _PRIME = 2**30 - 35
-
-
-def forms_dim(conditions: list[tuple[tuple[int, int], int]], m: int) -> int:
-    """Dimension of the degree-m binary forms that vanish to each order at
-    its point, for conditions ((a, b), order); order 0 imposes nothing.
-
-    The rows are the cached table rows themselves, not copies: ``rank`` does
-    not mutate its input, and the zero rows past t = m add nothing to it.
-    """
-    rows = []
-    for point, order in conditions:
-        if order:
-            rows += _derivative_table(point, m)[:order]
-    return m + 1 - rank(rows, m + 1)
 
 
 @functools.lru_cache(maxsize=256)
@@ -151,71 +140,47 @@ def _derivative_table(point: tuple[int, int], m: int) -> tuple[tuple[int, ...], 
     return tuple(table)
 
 
+def _insert(basis: list[tuple[int, list[int]]], row: list[int], p: int) -> None:
+    """Reduce a row mod p against an echelon basis and add what is left.
+
+    Each basis entry is (pivot column, row with 1 there), and each row is
+    zero on the pivot columns of the rows added before it, so one pass in
+    the order of insertion clears every pivot column of the new row.
+    """
+    for col, pivot_row in basis:
+        factor = row[col]
+        if factor:
+            row = [(x - factor * y) % p for x, y in zip(row, pivot_row)]
+    for col, x in enumerate(row):
+        if x:
+            inverse = pow(x, -1, p)
+            basis.append((col, [y * inverse % p for y in row]))
+            return
+
+
 def rank(rows: Sequence[Sequence[int]], ncols: int) -> int:
     """Exact rank over Q of an integer matrix, given as a sequence of rows of
-    length ncols, in two stages; the rows are not mutated.
+    length ncols; the rows are not mutated.
 
-    1. Singleton pass over Z.  A row with exactly one nonzero entry is a
-       pivot on that column: each such column is counted once, its rows are
-       dropped, and the column is deleted from every other row; rows that are
-       zero after the deletion are dropped too.  The singleton rows span the
-       coordinate subspace of their columns, so the rank is the number of
-       those columns plus the rank of what is left.  That holds over any
-       field in which the singleton entries are nonzero, so over Q it holds
-       for every nonzero integer entry, a multiple of p included.
-    2. Certificate on the remainder.  The rest is eliminated over F_p for the
-       fixed prime p = 2^30 - 35.  A minor that is nonzero mod p is nonzero
-       over Z, so rank_p <= rank_Q <= min(rows left, columns left); when
-       rank_p reaches that bound it is the rank.  Otherwise p may have hidden
-       a pivot, and the remainder's rank is recomputed by fraction-free
-       Gaussian elimination (Bareiss) over Z.
+    The nonzero rows are reduced mod the fixed prime p = 2^30 - 35 into a
+    fresh ``_insert`` basis, until it holds min(nonzero rows, ncols) rows.
+    A minor that is nonzero mod p is nonzero over Z, so
+    rank_p <= rank_Q <= min(nonzero rows, ncols), and when rank_p reaches
+    that bound it is the rank.  Otherwise p may have hidden a pivot, and the
+    nonzero rows are ranked by fraction-free Gaussian elimination (Bareiss)
+    over Z.
     """
-    pivots: set[int] = set()
-    dense = []
-    for row in rows:
-        zeros = row.count(0)
-        if zeros == ncols - 1:
-            pivots.add(next(compress(range(ncols), row)))
-        elif zeros < ncols:
-            dense.append(row)
-    if pivots:
-        keep = [col not in pivots for col in range(ncols)]
-        matrix = [kept for kept in (list(compress(row, keep)) for row in dense) if any(kept)]
-    else:
-        matrix = dense
-    left = ncols - len(pivots)
-    bound = min(len(matrix), left)
-    if _rank_mod_p(matrix, left) == bound:
-        return len(pivots) + bound
-    return len(pivots) + _rank_bareiss(matrix, left)
-
-
-def _rank_mod_p(matrix: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank over F_p of the integer matrix reduced mod p."""
+    matrix = [row for row in rows if any(row)]
+    bound = min(len(matrix), ncols)
     p = _PRIME
-    reduced = [[x % p for x in row] for row in matrix]
-    nrows = len(reduced)
-    found = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(found, nrows):
-            if reduced[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        reduced[found], reduced[pivot] = reduced[pivot], reduced[found]
-        row_p = reduced[found]
-        inverse = pow(row_p[col], -1, p)
-        row_p = [x * inverse % p for x in row_p[col + 1 :]]
-        for r in range(found + 1, nrows):
-            row_r = reduced[r]
-            factor = row_r[col]
-            if factor:
-                tail = [(x - factor * y) % p for x, y in zip(row_r[col + 1 :], row_p)]
-                row_r[col + 1 :] = tail
-        found += 1
-    return found
+    basis: list[tuple[int, list[int]]] = []
+    for row in matrix:
+        if len(basis) == bound:
+            break
+        _insert(basis, [x % p for x in row], p)
+    if len(basis) == bound:
+        return bound
+    return _rank_bareiss(matrix, ncols)
 
 
 def _rank_bareiss(matrix: Sequence[Sequence[int]], ncols: int) -> int:
@@ -286,7 +251,7 @@ def _window(orders: tuple[int, ...], m: int) -> tuple[int, int]:
 
 
 def _system_dim(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ...], m: int) -> int:
-    """(m+1) - rank_ends - forms_dim of the charts with the given orders.
+    """rank_all - rank_ends of the charts with the given orders.
 
     That is the rank of the interior charts' rows, whose derivative tables
     are given, on the window of columns [orders[-1], m+1-orders[0]) that the
@@ -307,27 +272,9 @@ def _interior_tables(n: int, m: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def hsum_oracle_triple(t: TripleIndex) -> int:
-    """Obstruction dimension of one block: (m+1) - rank_ends - forms_dim of
-    all n + 2 charts, as the rank of the interior rows on the window."""
+    """Obstruction dimension of one block: rank_all - rank_ends of its
+    n + 2 charts, as the rank of the interior rows on the window."""
     return _system_dim(_interior_tables(t.n, t.m), chart_codims(t), t.m)
-
-
-def _insert(basis: list[tuple[int, list[int]]], row: list[int], p: int) -> None:
-    """Reduce a row mod p against an echelon basis and add what is left.
-
-    Each basis entry is (pivot column, row with 1 there), and each row is
-    zero on the pivot columns of the rows added before it, so one pass in
-    the order of insertion clears every pivot column of the new row.
-    """
-    for col, pivot_row in basis:
-        factor = row[col]
-        if factor:
-            row = [(x - factor * y) % p for x, y in zip(row, pivot_row)]
-    for col, x in enumerate(row):
-        if x:
-            inverse = pow(x, -1, p)
-            basis.append((col, [y * inverse % p for y in row]))
-            return
 
 
 def _certified(tables: list[tuple[tuple[int, ...], ...]], orders: tuple[int, ...], rows: int, rank_p: int, m: int) -> int:

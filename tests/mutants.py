@@ -1,0 +1,176 @@
+"""Mutation checks, re-runnable: each mutant is one exact source replacement
+in a copy of the package, and the named test files must kill it.
+
+Run from anywhere as ``python tests/mutants.py``.  Stdlib only (pytest runs
+the tests); pytest does not collect this file.  The script copies ``src/``
+and ``tests/`` into a temporary directory, never touching the checkout, and
+first runs the union of the named test files on the unmutated copy, which
+must pass.  Then, one mutant at a time, it applies the replacement to the
+copy, runs that mutant's test files, restores the file and prints one JSON
+line: the mutant's name, file, expected and observed outcome (``killed`` or
+``survived``), the first failing test, and the seconds taken.  A ``killed``
+mutant is expected to fail a test; a ``known-gap`` mutant is one no test
+catches yet, expected to survive.  The exit status is 1 if any mutant's
+outcome differs from its expectation.
+
+``tests/test_mutants.py`` checks in tier-1 that every ``old`` text occurs
+exactly once in its file, so a refactor has to update this list.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/ansing
+    old: str
+    new: str
+    tests: tuple[str, ...]  # under tests/
+    expect: str  # "killed" or "known-gap"
+
+
+ORACLE_TESTS = ("test_oracle.py",)
+RANK_TESTS = ("test_oracle.py", "test_oracle_property.py")
+
+MUTANTS = (
+    # the shared-basis oracle
+    Mutant(
+        "oracle-restart-guard-dropped",
+        "oracle.py",
+        "            if any(map(operator.lt, interior, done)):\n",
+        "            if False:\n",
+        ORACLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "oracle-certificate-against-rows-alone",
+        "oracle.py",
+        "    if rank_p == min(rows, high - low):\n",
+        "    if rank_p == rows:\n",
+        ORACLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "oracle-each-tuple-counted-once",
+        "oracle.py",
+        "            total += counts[orders] * _certified(",
+        "            total += _certified(",
+        ORACLE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "oracle-insertion-stops-at-cols-minus-one",
+        "oracle.py",
+        "                    if len(basis) == high - low:\n",
+        "                    if len(basis) == high - low - 1:\n",
+        ORACLE_TESTS,
+        "killed",
+    ),
+    # rank on the _insert basis
+    Mutant(
+        "rank-returns-mod-p-rank",
+        "oracle.py",
+        "    return _rank_bareiss(matrix, ncols)\n",
+        "    return len(basis)\n",
+        RANK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "rank-bound-counts-zero-rows",
+        "oracle.py",
+        "    bound = min(len(matrix), ncols)\n",
+        "    bound = min(len(rows), ncols)\n",
+        RANK_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "insert-reduces-against-last-basis-row",
+        "oracle.py",
+        "    for col, pivot_row in basis:\n",
+        "    for col, pivot_row in basis[-1:]:\n",
+        RANK_TESTS,
+        "killed",
+    ),
+    # h1 has no exact check past the cyclotomic oracle's range
+    Mutant(
+        "h1-plus-one-at-m-divisible-by-5",
+        "invariants.py",
+        "    return mu(n, m) - chi_orb(n, m) - hsum(n, m)\n",
+        "    return mu(n, m) - chi_orb(n, m) - hsum(n, m) + (m >= 7 and m % 5 == 0)\n",
+        ("test_invariants.py", "test_acceptance.py", "test_cli.py", "test_rates.py"),
+        "known-gap",
+    ),
+)
+
+
+def mutated(mutant: Mutant, source: str) -> str:
+    """The source with the mutant's one occurrence of old replaced by new."""
+    if source.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {source.count(mutant.old)} times in {mutant.file}")
+    return source.replace(mutant.old, mutant.new)
+
+
+def run_tests(work: Path, tests) -> tuple[int, str | None]:
+    """Run the test files on the copy in work; the exit code and the first
+    failing test, if any."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rf", "-p", "no:cacheprovider"]
+    result = subprocess.run(
+        command + [f"tests/{name}" for name in tests], cwd=work, env=env, capture_output=True, text=True
+    )
+    failed = re.search(r"^FAILED (\S+)", result.stdout, re.M)
+    return result.returncode, failed and failed[1]
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    with tempfile.TemporaryDirectory(prefix="ansing-mutants-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+        code, failed = run_tests(work, sorted({name for mutant in MUTANTS for name in mutant.tests}))
+        if code != 0:
+            raise SystemExit(f"the unmutated copy fails its tests (exit {code}, first {failed})")
+        mismatches = 0
+        for mutant in MUTANTS:
+            target = work / "src" / "ansing" / mutant.file
+            source = target.read_text(encoding="utf-8")
+            target.write_text(mutated(mutant, source), encoding="utf-8")
+            start = time.perf_counter()
+            code, failed = run_tests(work, mutant.tests)
+            target.write_text(source, encoding="utf-8")
+            outcome = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            expected = outcome == ("killed" if mutant.expect == "killed" else "survived")
+            mismatches += not expected
+            print(
+                json.dumps(
+                    {
+                        "name": mutant.name,
+                        "file": f"src/ansing/{mutant.file}",
+                        "expect": mutant.expect,
+                        "outcome": outcome,
+                        "as_expected": expected,
+                        "first_failure": failed,
+                        "seconds": round(time.perf_counter() - start, 1),
+                    }
+                ),
+                flush=True,
+            )
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -13,13 +13,12 @@ from ansing.latticesum import hsum
 from ansing.monoblocks import TripleIndex, admissible_triples
 from ansing.oracle import (
     _PRIME,
-    forms_dim,
     hsum_oracle,
     hsum_oracle_triple,
     _derivative_table,
     rank,
 )
-from general_position import chart_conditions, general_position_check, hermite_dim
+from general_position import chart_conditions, forms_dim, general_position_check, hermite_dim
 from lattice_oracle import hsum_triple
 
 
@@ -178,15 +177,16 @@ def test_singleton_rows_on_one_column_count_once():
     assert rank(rows, 4) == 2
 
 
-def test_singleton_multiple_of_p_counts_over_z(monkeypatch):
+def test_singleton_multiple_of_p_reaches_bareiss(monkeypatch):
     p = _PRIME
     calls = _count_bareiss(monkeypatch)
     rows = [[0, 3 * p, 0], [1, 1, 1], [-p, 0, 0]]
     assert _rank_fraction_elimination(rows, 3) == 3
     assert rank(rows, 3) == 3
     assert rank([[2 * p, 0]], 2) == 1
-    # a singleton is a pivot over Z, whatever its residue: no fallback needed
-    assert calls == []
+    # a singleton whose entry is a multiple of p is zero mod p, so its rank
+    # over Q comes from the fallback, with every nonzero row
+    assert calls == [(3, 3), (1, 2)]
 
 
 def test_dense_row_vanishing_after_the_singleton_columns_is_dropped():
@@ -199,18 +199,16 @@ def test_dense_row_vanishing_after_the_singleton_columns_is_dropped():
 def test_remainder_whose_pivot_p_hides_reaches_bareiss(monkeypatch):
     p = _PRIME
     calls = _count_bareiss(monkeypatch)
-    # the two dense rows are [p, 0] and [0, p] once column 0 is deleted:
-    # zero mod p, rank 2 over Q
+    # mod p every row lies on column 0, so rank_p is 1 against rank 3 over Q
     rows = [[7, 0, 0], [5, p, 0], [3, 0, p]]
     assert _rank_fraction_elimination(rows, 3) == 3
     assert rank(rows, 3) == 3
-    assert calls == [(2, 2)]
+    assert calls == [(3, 3)]
 
 
 def test_oracle_systems_are_certified_mod_p(monkeypatch):
     # Hermite interpolation on P^1: every stacked system has full rank, so the
-    # singleton pass and the modular pass must settle each rank the oracle
-    # asks for
+    # certificate mod p must settle each rank the oracle asks for
     def no_fallback(matrix, ncols):
         raise AssertionError(f"Bareiss fallback on a {len(matrix)}x{ncols} oracle remainder")
 
@@ -493,4 +491,7 @@ def test_rank_over_q_with_zero_rows_and_signed_singletons(monkeypatch):
         assert rank(as_lists, ncols) == expected
         assert as_lists == [list(row) for row in rows]  # rank never writes its rows
     assert rank([], 3) == 0
-    assert calls == []
+    # only the three cases holding a multiple of p reach Bareiss, as tuples
+    # and as lists, with their nonzero rows; a certificate bound that counted
+    # zero rows would send the zero-row cases there too
+    assert calls == [(3, 4), (3, 4), (3, 2), (3, 2), (3, 4), (3, 4)]

@@ -1,11 +1,10 @@
-"""Property test: the two-stage rank equals rank over Fraction.
+"""Property test: ``oracle.rank`` equals rank over Fraction.
 
-Rows are drawn dense or with a single nonzero entry, so the singleton pass
-always has work.  Entries are drawn near multiples of the oracle's prime p
-as well as small, so some remainders lose rank mod p and take the Bareiss
-fallback while the rest are settled by the modular pass; the test asserts
-that the fallback is still reached.  Needs hypothesis (the ``test`` extra);
-the module is skipped without it.
+Rows are drawn dense or with a single nonzero entry.  Entries are drawn
+near multiples of the oracle's prime p as well as small, so some matrices
+lose rank mod p and take the Bareiss fallback while the rest are certified
+mod p; the test asserts that the fallback is still reached.  Needs
+hypothesis (the ``test`` extra); the module is skipped without it.
 """
 
 import pytest
@@ -53,5 +52,5 @@ def test_rank_equals_fraction_elimination(monkeypatch):
         assert rank(rows, ncols) == _rank_fraction_elimination(rows, ncols)
 
     check()
-    # the singleton pass must not keep the fallback from being exercised
+    # the certificate must not keep the fallback from being exercised
     assert fallbacks, "no example reached the Bareiss fallback"
