@@ -6,17 +6,25 @@ those affine weights exactly gives a degree-3 polynomial in m whose leading
 coefficient is the closed-form cubic growth rate h0_omega(n); the lattice
 sum deviates from the integral by at most O(m).
 
+The geometry is computed once, in integers: every vertex is a reduced triple
+(X, Y, Q), Q > 0, standing for the point (X/Q, Y/Q), and every weight is an
+integer form over W in {1, 2}.  Pieces that degenerate for tiny m (a vertex
+drifting into x1 < 0) are clipped to x1 >= 0 on those triples, which leaves
+them in the closed positive quadrant.  ``pieces`` turns the triples into
+Fractions; ``upper_integral`` never does.
+
 Integration is exact: each piece is fan-triangulated from its first vertex
 and an affine integrand contributes signed_area * (mean of the three vertex
-values) per triangle, which is an identity, not an approximation.  Pieces
-that degenerate for tiny m (a vertex drifting into x1 < 0) are clipped to
-x1 >= 0 first, which leaves them in the closed positive quadrant.
+values) per triangle, which is an identity, not an approximation.  The sum is
+taken over the piece's vertices scaled to integers, and ``upper_integral``
+forms one fraction from the n+2 integer results.  The same geometry and
+integral in Fraction arithmetic are test oracles in tests/fraction_kernels.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 from .exactmath import scale_to_integers
@@ -24,105 +32,150 @@ from .exactmath import scale_to_integers
 Point = tuple[Fraction, Fraction]
 # (a, b, c, d): the affine weight a*x1 + b*x2 + c*m + d
 Weight = tuple[Fraction, Fraction, Fraction, Fraction]
+# (X, Y, Q): the point (X/Q, Y/Q), with Q > 0 and gcd(X, Y, Q) = 1
+Triple = tuple[int, int, int]
+# (vertices, (a, b, c, d), W): a piece whose weight is (a, b, c, d) / W
+IntPiece = tuple[list[Triple], tuple[int, int, int, int], int]
 
 
-def _clip_halfplane(vertices: list[Point]) -> list[Point]:
+def _reduced(x: int, y: int, q: int) -> Triple:
+    """The triple (x, y, q), q > 0, divided by gcd(x, y, q)."""
+    g = gcd(x, y, q)
+    return x // g, y // g, q // g
+
+
+def _clip_halfplane(vertices: list[Triple]) -> list[Triple]:
     """Keep the part of the polygon with x1 >= 0 (Sutherland-Hodgman).
 
     Only x1 needs clipping: every raw piece vertex already has x2 >= 0.
-    ``_vertex``'s x2 is 2(m+1)/(d1(d1+1)) with d1 <= -2, so it is positive,
-    and every other vertex lies on x2 = 0 or on the x2-axis above it.  The
-    points the clip adds sit between two such vertices.
+    ``_vertex``'s Y is 2(m+1)d2 > 0 over Q > 0, and every other vertex lies
+    on x2 = 0 or on the x2-axis above it.  The points the clip adds sit
+    between two such vertices: the segment (X1, Y1, Q1) -> (X2, Y2, Q2)
+    meets x1 = 0 at X2*(X1, Y1, Q1) - X1*(X2, Y2, Q2) up to sign.
     """
-    if not vertices:
-        return []
-    out: list[Point] = []
-    count = len(vertices)
-    for idx in range(count):
-        cur = vertices[idx]
-        nxt = vertices[(idx + 1) % count]
-        cur_in = cur[0] >= 0
-        nxt_in = nxt[0] >= 0
-        if cur_in:
+    if min(vertices)[0] >= 0:  # tuples compare by X first: nothing to clip
+        return vertices
+    out: list[Triple] = []
+    for idx, cur in enumerate(vertices):
+        nxt = vertices[idx + 1 - len(vertices)]
+        x1, y1, q1 = cur
+        x2, y2, q2 = nxt
+        if x1 >= 0:
             out.append(cur)
-        if cur_in != nxt_in:
-            t = cur[0] / (cur[0] - nxt[0])
-            out.append((Fraction(0), cur[1] + t * (nxt[1] - cur[1])))
+        if (x1 >= 0) != (x2 >= 0):
+            y = x1 * y2 - x2 * y1
+            q = x1 * q2 - x2 * q1
+            if q < 0:
+                y, q = -y, -q
+            out.append(_reduced(0, y, q))
     return out
 
 
-def _vertex(n: int, m: int, j: int) -> Point:
-    """Chain vertex v_j for j = 1..n+1; v_{n+1} lands on (n(m+1)-1, m+1)."""
+def _vertex(n: int, m: int, j: int) -> Triple:
+    """Chain vertex v_j for j = 1..n+1; v_{n+1} lands on (n(m+1)-1, m+1).
+
+    v_j = (2j(m+1)/d1 + 2(j-1)(m+1)/d2 + m, 2(m+1)/(d1(d1+1))) with
+    d1 = j-n-3 <= -2 and d2 = n+2-j >= 1, over Q = d1 d2 (d1+1) > 0.
+    """
     d1 = j - n - 3
     d2 = n + 2 - j
-    x = Fraction(2 * j * (m + 1), d1) + Fraction(2 * (j - 1) * (m + 1), d2) + m
-    y = Fraction(2 * (m + 1), d1 * (d1 + 1))
-    return (x, y)
+    q = d1 * d2 * (d1 + 1)
+    x = 2 * (m + 1) * (d1 + 1) * (j * d2 + (j - 1) * d1) + m * q
+    return _reduced(x, 2 * (m + 1) * d2, q)
+
+
+def _int_pieces(n: int, m: int) -> list[IntPiece]:
+    """The n+2 pieces in label order, as vertex triples clipped to x1 >= 0
+    and integer weights over their denominator W."""
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    v = [None] + [_vertex(n, m, j) for j in range(1, n + 2)]
+    left = _reduced(0, m, n + 1)
+    base_right = _reduced(m * n - 2, 0, n + 2)
+    corner = (m, 0, 1)
+
+    raw: list[IntPiece] = [([left, v[1], base_right, (0, 0, 1)], (1, 0, 0, 1), 1)]
+    for j in range(1, n + 1):
+        slope = j - 1 - n  # over W = 2
+        if j == 1:
+            verts = [v[1], v[2], corner, base_right]
+        else:
+            verts = [v[j], v[j + 1], corner]
+        raw.append((verts, (slope, -(j - 1) * slope, -slope, 0), 2))
+    top = [_reduced(0, m + 2, n + 1), *v[n + 1 : 0 : -1], left]
+    raw.append((top, (1, -(n + 1), 1, 2), 2))
+    return [(_clip_halfplane(verts), w, wscale) for verts, w, wscale in raw]
 
 
 def pieces(n: int, m: int) -> list[tuple[tuple[Point, ...], Weight]]:
     """The n+2 affine pieces tiling the upper-half polygon, in x1, x2 >= 0,
     as (vertices, weight) pairs in label order 0..n+1."""
-    if n < 1 or m < 0:
-        raise ValueError("need n >= 1 and m >= 0")
-    mf = Fraction(m)
-    zero = Fraction(0)
-    one = Fraction(1)
-    half = Fraction(1, 2)
-    v = {j: _vertex(n, m, j) for j in range(1, n + 2)}
-    base_right = (Fraction(m * n - 2, n + 2), zero)
+    points: dict[Triple, Point] = {}
+    out = []
+    for verts, weight, wscale in _int_pieces(n, m):
+        for t in verts:
+            if t not in points:
+                points[t] = (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
+        out.append((tuple([points[t] for t in verts]), tuple([Fraction(c, wscale) for c in weight])))
+    return out
 
-    raw: list[tuple[list[Point], Weight]] = [
-        ([(zero, Fraction(m, n + 1)), v[1], base_right, (zero, zero)], (one, zero, zero, one))
-    ]
-    for j in range(1, n + 1):
-        slope = Fraction(j - 1 - n, 2)
-        if j == 1:
-            verts = [v[1], v[2], (mf, zero), base_right]
-        else:
-            verts = [v[j], v[j + 1], (mf, zero)]
-        raw.append((verts, (slope, -(j - 1) * slope, -slope, zero)))
-    top = [(zero, Fraction(m + 2, n + 1))]
-    top.extend(v[j] for j in range(n + 1, 0, -1))
-    top.append((zero, Fraction(m, n + 1)))
-    raw.append((top, (half, -Fraction(n + 1, 2), half, one)))
-    return [(tuple(_clip_halfplane(verts)), w) for verts, w in raw]
+
+def _fan_integral(
+    points: list[tuple[int, int]], scale: int, weight: tuple[int, ...], wscale: int, m: int
+) -> tuple[int, int]:
+    """The integral of the weight (a, b, c, d) / W at degree m over the
+    polygon whose vertices are points / L, as the pair (acc, 6 L^3 W) of
+    numerator and denominator, for L = scale and W = wscale.
+
+    Fan-triangulate from the first vertex; each triangle contributes
+    signed_area * mean of the three vertex values, and the total sign is
+    normalized by the polygon orientation.  Degenerate triangles contribute 0.
+    """
+    if len(points) < 3:
+        return 0, 1
+    a, b, c, d = weight
+    offset = (c * m + d) * scale
+    (x0, y0), (x1, y1) = points[0], points[1]
+    v0 = a * x0 + b * y0 + offset
+    v1 = a * x1 + b * y1 + offset
+    doubled_area = accumulated = 0
+    for x2, y2 in points[2:]:
+        v2 = a * x2 + b * y2 + offset
+        cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
+        doubled_area += cross
+        accumulated += cross * (v0 + v1 + v2)
+        x1, y1, v1 = x2, y2, v2
+    if doubled_area < 0:
+        accumulated = -accumulated
+    return accumulated, 6 * scale**3 * wscale
 
 
 def integrate_piece(vertices: tuple[Point, ...], weight: Weight, m: int) -> Fraction:
     """Exact integral of the affine weight at degree m over the polygon.
 
-    Fan-triangulate from the first vertex; each triangle contributes
-    signed_area * mean of the three vertex values, and the total sign is
-    normalized by the polygon orientation.  Degenerate triangles contribute 0.
     The vertices are scaled to integers over their common denominator L and
-    the weight over its common denominator W, so the sum is taken in ints
-    and the one fraction formed is acc / (6 L^3 W).
+    the weight over its common denominator W, so the fan triangulation's sum
+    is taken in ints and the one fraction formed is acc / (6 L^3 W).
     """
-    if len(vertices) < 3:
-        return Fraction(0)
     coords, scale = scale_to_integers(t for vertex in vertices for t in vertex)
-    points = list(zip(coords[::2], coords[1::2]))
-    (a, b, c, d), wscale = scale_to_integers(weight)
-    offset = (c * m + d) * scale
-    values = [a * x + b * y + offset for x, y in points]
-    x0, y0 = points[0]
-    doubled_area = 0
-    accumulated = 0
-    for idx in range(1, len(points) - 1):
-        x1, y1 = points[idx]
-        x2, y2 = points[idx + 1]
-        cross = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-        doubled_area += cross
-        accumulated += cross * (values[0] + values[idx] + values[idx + 1])
-    if doubled_area < 0:
-        accumulated = -accumulated
-    return Fraction(accumulated, 6 * scale**3 * wscale)
+    weight_ints, wscale = scale_to_integers(weight)
+    return Fraction(*_fan_integral(list(zip(coords[::2], coords[1::2])), scale, weight_ints, wscale, m))
 
 
 def upper_integral(n: int, m: int) -> Fraction:
-    """Integral of the weight over the upper-half polygon, exactly."""
-    return sum((integrate_piece(verts, w, m) for verts, w in pieces(n, m)), Fraction(0))
+    """Integral of the weight over the upper-half polygon, exactly.
+
+    Each piece's triples are scaled to integers over the lcm L of their Q,
+    its integral taken as the integer pair (acc, 6 L^3 W), and the one
+    fraction formed is the sum of the acc over the lcm of the denominators.
+    """
+    terms = []
+    for verts, weight, wscale in _int_pieces(n, m):
+        scale = lcm(*[q for _, _, q in verts])
+        points = [(x * (scale // q), y * (scale // q)) for x, y, q in verts]
+        terms.append(_fan_integral(points, scale, weight, wscale, m))
+    common = lcm(*(den for _, den in terms))
+    return Fraction(sum(acc * (common // den) for acc, den in terms), common)
 
 
 def _basel_sums(n_max: int) -> Iterator[tuple[int, int]]:

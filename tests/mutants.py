@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 ORACLE_TESTS = ("test_oracle.py",)
 RANK_TESTS = ("test_oracle.py", "test_oracle_property.py")
+ASYMPTOTICS_TESTS = ("test_asymptotics.py",)
 
 MUTANTS = (
     # the shared-basis oracle
@@ -102,6 +103,39 @@ MUTANTS = (
         "    for col, pivot_row in basis:\n",
         "    for col, pivot_row in basis[-1:]:\n",
         RANK_TESTS,
+        "killed",
+    ),
+    # the polygon pieces in integer triples and their integral
+    Mutant(
+        "integral-cube-of-scale-squared",
+        "asymptotics.py",
+        "    return accumulated, 6 * scale**3 * wscale\n",
+        "    return accumulated, 6 * scale**2 * wscale\n",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "integral-orientation-flip-dropped",
+        "asymptotics.py",
+        "    if doubled_area < 0:\n        accumulated = -accumulated\n",
+        "",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "clip-crossing-denominator-sign-flipped",
+        "asymptotics.py",
+        "            q = x1 * q2 - x2 * q1\n",
+        "            q = x2 * q1 - x1 * q2\n",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "vertex-reduction-skips-q",
+        "asymptotics.py",
+        "    return x // g, y // g, q // g\n",
+        "    return x // g, y // g, q\n",
+        ASYMPTOTICS_TESTS,
         "killed",
     ),
     # h1 has no exact check past the cyclotomic oracle's range

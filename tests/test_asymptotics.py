@@ -23,7 +23,7 @@ from ansing.asymptotics import (
 from ansing.invariants import h1_omega
 from ansing.quasifit import fit
 from asymptotic_reports import h0_asymptotic_check, integral_vs_sum_report
-from fraction_kernels import integrate_piece_by_fractions
+from fraction_kernels import integrate_piece_by_fractions, pieces_by_fractions
 from lattice_oracle import weight
 
 
@@ -62,12 +62,36 @@ ORACLE_GRID = (
 
 
 def test_integrate_piece_matches_fraction_oracle_on_grid():
-    # both orientations: pieces lists most of its polygons clockwise
+    # both orientations: pieces lists most of its polygons clockwise; and
+    # upper_integral is the sum of the oracle's integrals of the pieces
     for n, m in ORACLE_GRID:
+        total = F(0)
         for label, (verts, w) in enumerate(pieces(n, m)):
             expected = integrate_piece_by_fractions(verts, w, m)
             assert integrate_piece(verts, w, m) == expected, (n, m, label)
             assert integrate_piece(verts[::-1], w, m) == expected, (n, m, label)
+            total += expected
+        assert upper_integral(n, m) == total, (n, m)
+
+
+def test_pieces_match_fraction_oracle_on_grid():
+    # vertices, their order and the weights, at every n <= 40 and m <= 80;
+    # the clip to x1 >= 0 acts at m = 0 and 1
+    for n in range(1, 41):
+        for m in range(0, 81):
+            assert pieces(n, m) == pieces_by_fractions(n, m), (n, m)
+
+
+def test_pieces_match_fraction_oracle_on_random_draws():
+    # n and m log-uniform up to the polygon verb's bounds, and the corner
+    rng = random.Random(25)
+    draws = [(cli.POLYGON_N_LIMIT, cli.M_LIMIT)]
+    for _ in range(12):
+        n = int(math.exp(rng.uniform(0, math.log(cli.POLYGON_N_LIMIT))))
+        m = int(math.exp(rng.uniform(0, math.log(cli.M_LIMIT + 1)))) - 1
+        draws.append((n, m))
+    for n, m in draws:
+        assert pieces(n, m) == pieces_by_fractions(n, m), (n, m)
 
 
 def test_integrate_piece_matches_fraction_oracle_on_random_polygons():
