@@ -7,10 +7,10 @@ cotangent-bundle bigness criterion, all in exact rational arithmetic with an
 independent brute-force oracle for every combinatorial formula.
 """
 
-from .asymptotics import h0_omega, pieces, upper_integral
+from .asymptotics import h0_omega, h1_omega, pieces, upper_integral
 from .exactmath import QuasiPolynomial, format_rational, parse_rational
 from .extension import divisor_D, extends_holomorphically, pole_profile
-from .invariants import chi_orb, h1, h1_omega, mu
+from .invariants import chi_orb, h1, mu
 from .latticesum import hsum, polygon
 from .monoblocks import TripleIndex
 from .oracle import hsum_oracle

@@ -19,13 +19,21 @@ values) per triangle, which is an identity, not an approximation.  The sum is
 taken over the piece's vertices scaled to integers, and ``upper_integral``
 forms one fraction from the n+2 integer results.  The same geometry and
 integral in Fraction arithmetic are test oracles in tests/fraction_kernels.py.
+
+Both cubic rates live here: h0_omega(n) of the obstruction counts and
+h1_omega(n) of the localized cohomology h1(n, m), each sign * (4/3) * B(n) +
+num/den over the Basel partial sum B(n), kept as an exact integer pair.  No
+other module sees that pair: ``omega_rates`` gives both rates at one n,
+``h1_omega_sum`` the bigness criterion's weighted sum of h1 rates, and the
+two limit reports test growth and boundedness.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exactmath import scale_to_integers
 
@@ -269,9 +277,41 @@ def h0_omega(n: int) -> Fraction:
     return _rate(_h0_terms(n), _basel(n))
 
 
+def h1_omega(n: int) -> Fraction:
+    """Cubic growth rate of h1(n, m), in closed form."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    return _rate(_h1_terms(n), _basel(n))
+
+
+def omega_rates(n: int) -> tuple[Fraction, Fraction]:
+    """(h0_omega(n), h1_omega(n)), both from one exact Basel pair."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    basel = _basel(n)
+    return _rate(_h0_terms(n), basel), _rate(_h1_terms(n), basel)
+
+
+def h1_omega_sum(entries: Sequence[tuple[int, int]]) -> Fraction:
+    """The sum of count * h1_omega(n) over the (n, count) pairs, exactly.
+
+    One pass of the exact Basel partial sums up to the largest n serves
+    every entry; an entry with n < 1 raises ValueError, as h1_omega does.
+    """
+    wanted = {n for n, _ in entries}
+    if min(wanted, default=1) < 1:
+        raise ValueError("need n >= 1")
+    basel = {n: b for n, b in enumerate(_basel_sums(max(wanted, default=0)), start=1) if n in wanted}
+    return sum((count * _rate(_h1_terms(n), basel[n]) for n, count in entries), Fraction(0))
+
+
 def h0_omega_float(n: int) -> float:
     """Float shortcut for limit checks only; the partial zeta sum dominates."""
     return _rate_float(_h0_terms(n), _basel_float(n))
+
+
+def h1_omega_float(n: int) -> float:
+    return _rate_float(_h1_terms(n), _basel_float(n))
 
 
 def h0_omega_limit_float() -> float:
@@ -300,3 +340,36 @@ def h0_omega_limit_report(n_max: int) -> dict:
         "limit_float": limit,
         "gap_at_n_max_float": limit - h0_omega_float(n_max),
     }
+
+
+def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
+    """Strict growth of h1_omega up to n_max, plus the linear leading behavior.
+
+    The closed formula grows like n/6, so h1_omega eventually exceeds any
+    threshold; the report records where the given one is first passed and
+    samples 6*h1_omega(n)/n at large n in float.  Growth is tested in
+    integers, step by step; the exact Basel partial sum, whose denominators
+    grow like lcm(1..n)^2, is carried only until the threshold is passed.
+    """
+    if n_max < 2:
+        raise ValueError("need n_max >= 2")
+    first_exceeds = None
+    for n, basel in enumerate(_basel_sums(n_max), start=1):
+        if _rate(_h1_terms(n), basel) > threshold:
+            first_exceeds = n
+            break
+    return {
+        "n_max": n_max,
+        "strictly_increasing": _increasing_to(_h1_terms, min(n_max, GROWTH_CHECK_CAP)),
+        "threshold": Fraction(threshold),
+        "first_n_exceeding_threshold": first_exceeds,
+        "leading_ratio_samples": [
+            {"n": n, "ratio": ratio} for n, ratio in _leading_ratios()
+        ],
+    }
+
+
+@functools.cache
+def _leading_ratios() -> tuple[tuple[int, float], ...]:
+    """6*h1_omega(n)/n in float at n = 1000 and 10000; input-independent."""
+    return tuple((n, 6 * h1_omega_float(n) / n) for n in (1000, 10000))

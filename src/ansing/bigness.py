@@ -13,15 +13,16 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .asymptotics import _basel_sums, _h1_terms, _rate
+from .asymptotics import h1_omega_sum
 from .exactmath import parse_rational
 
-# Config bounds.  Every entry's h1_omega(n) is computed exactly, all of them
-# from one pass of exact Basel partial sums up to the largest n (about 17 ms to
-# n = 4000 on a 2-core x86 machine).  The printed total's denominator holds
-# lcm(1..n)^2, about 3500 digits at n = 4000, times those of c1sq and c2; the
-# largest admitted config (16 entries n = 3985..4000) stays well inside the
-# 4300-digit int-to-str limit and is evaluated and printed in about 35 ms.
+# Config bounds.  Every entry's h1_omega(n) is computed exactly, all of them by
+# ``asymptotics.h1_omega_sum`` in one pass of exact Basel partial sums up to the
+# largest n (about 17 ms to n = 4000 on a 2-core x86 machine).  The printed
+# total's denominator holds lcm(1..n)^2, about 3500 digits at n = 4000, times
+# those of c1sq and c2; the largest admitted config (16 entries n = 3985..4000)
+# stays well inside the 4300-digit int-to-str limit and is evaluated and
+# printed in about 35 ms.
 N_LIMIT = 4000  # singularity index n
 COUNT_LIMIT = 10**6  # count of one entry
 ENTRIES_LIMIT = 16  # entries in "singularities"
@@ -143,15 +144,10 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 def evaluate_criterion(cfg: Config) -> dict:
     """Exact criterion total T = sum(count * h1_omega(n)) + s2/6 and verdict.
 
-    Each h1_omega(n) is read off the exact Basel partial sum B(n); one pass
-    of the sums up to the largest n serves every entry.
+    An entry with n < 1 raises ValueError; ``config_from_dict`` admits none.
     """
     name, s2, singularities = cfg
-    wanted = {n for n, _ in singularities}
-    basel = {n: b for n, b in enumerate(_basel_sums(max(wanted, default=0)), start=1) if n in wanted}
-    localized = sum(
-        (count * _rate(_h1_terms(n), basel[n]) for n, count in singularities), Fraction(0)
-    )
+    localized = h1_omega_sum(singularities)
     chern_term = s2 / 6
     total = localized + chern_term
     return {

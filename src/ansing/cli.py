@@ -228,13 +228,8 @@ def _cmd_oracle_verify(args):
 
 
 def _cmd_omega(args):
-    n = args.n
-    basel = asymptotics._basel(n)  # one exact Basel pair serves both rates
-    return {
-        "n": n,
-        "h0_omega": asymptotics._rate(asymptotics._h0_terms(n), basel),
-        "h1_omega": asymptotics._rate(asymptotics._h1_terms(n), basel),
-    }, 0
+    h0, h1 = asymptotics.omega_rates(args.n)
+    return {"n": args.n, "h0_omega": h0, "h1_omega": h1}, 0
 
 
 def _cmd_mu(args):

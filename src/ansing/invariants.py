@@ -1,4 +1,4 @@
-"""Local singularity invariants: chi_orb, mu, h1 and the cubic rate h1_omega.
+"""Local singularity invariants: local_c2, chi_orb, mu and h1.
 
 The localized first cohomology of degree-m symmetric differentials at an A_n
 point decomposes exactly as
@@ -19,16 +19,9 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .asymptotics import (
-    GROWTH_CHECK_CAP,
-    _basel,
-    _basel_float,
-    _basel_sums,
-    _h1_terms,
-    _increasing_to,
-    _rate,
-    _rate_float,
-)
+# the cubic rate of h1 lives beside that of h0 in asymptotics; its names are
+# re-exported here, where the CLI's limits verb looks up the report
+from .asymptotics import h1_omega, h1_omega_float, h1_omega_limit_report  # noqa: F401
 from .latticesum import hsum
 
 
@@ -90,52 +83,3 @@ def mu(n: int, m: int) -> Fraction:
 def h1(n: int, m: int) -> Fraction:
     """Localized first cohomology dimension; a nonnegative integer in fact."""
     return mu(n, m) - chi_orb(n, m) - hsum(n, m)
-
-
-def h1_omega(n: int) -> Fraction:
-    """Cubic growth rate of h1(n, m), in closed form.
-
-    Its terms and the Basel partial sum are kept once in ``asymptotics``,
-    beside those of ``h0_omega``.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _rate(_h1_terms(n), _basel(n))
-
-
-def h1_omega_float(n: int) -> float:
-    return _rate_float(_h1_terms(n), _basel_float(n))
-
-
-def h1_omega_limit_report(n_max: int, threshold: Fraction | int = 10) -> dict:
-    """Strict growth of h1_omega up to n_max, plus the linear leading behavior.
-
-    The closed formula grows like n/6, so h1_omega eventually exceeds any
-    threshold; the report records where the given one is first passed and
-    samples 6*h1_omega(n)/n at large n in float.  Growth is tested in
-    integers, step by step; the exact Basel partial sum, whose denominators
-    grow like lcm(1..n)^2, is carried only until the threshold is passed.
-    """
-    if n_max < 2:
-        raise ValueError("need n_max >= 2")
-    first_exceeds = None
-    for n, basel in enumerate(_basel_sums(n_max), start=1):
-        if _rate(_h1_terms(n), basel) > threshold:
-            first_exceeds = n
-            break
-    return {
-        "n_max": n_max,
-        "strictly_increasing": _increasing_to(_h1_terms, min(n_max, GROWTH_CHECK_CAP)),
-        "threshold": Fraction(threshold),
-        "first_n_exceeding_threshold": first_exceeds,
-        "leading_ratio_samples": [
-            {"n": n, "ratio": ratio} for n, ratio in _leading_ratios()
-        ],
-    }
-
-
-@functools.cache
-def _leading_ratios() -> tuple[tuple[int, float], ...]:
-    """6*h1_omega(n)/n in float at n = 1000 and 10000; input-independent."""
-    return tuple((n, 6 * h1_omega_float(n) / n) for n in (1000, 10000))
-

@@ -45,6 +45,7 @@ class Mutant(NamedTuple):
 ORACLE_TESTS = ("test_oracle.py",)
 RANK_TESTS = ("test_oracle.py", "test_oracle_property.py")
 ASYMPTOTICS_TESTS = ("test_asymptotics.py",)
+MU_TESTS = ("test_invariants.py", "test_acceptance.py")
 
 MUTANTS = (
     # the shared-basis oracle
@@ -136,6 +137,58 @@ MUTANTS = (
         "    return x // g, y // g, q // g\n",
         "    return x // g, y // g, q\n",
         ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    # the cubic rates: the exact Basel pairs, the rate's one fraction and the
+    # bigness criterion's weighted sum
+    Mutant(
+        "basel-scale-skips-gcd",
+        "asymptotics.py",
+        "        scale = square // gcd(den, square)\n",
+        "        scale = square\n",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "basel-adds-one-over-j",
+        "asymptotics.py",
+        "        num += den // square\n",
+        "        num += den // j\n",
+        ("test_rates.py", "test_invariants.py", "test_bigness.py", "test_asymptotics.py", "test_acceptance.py"),
+        "killed",
+    ),
+    Mutant(
+        "rate-rational-part-over-basel-numerator",
+        "asymptotics.py",
+        "3 * num * q, 3 * q * den)",
+        "3 * num * p, 3 * q * den)",
+        # test_bigness.py misses it: its expected sums come from h1_omega, on the same _rate
+        ("test_rates.py", "test_invariants.py", "test_asymptotics.py", "test_acceptance.py"),
+        "killed",
+    ),
+    Mutant(
+        "h1-omega-sum-drops-count",
+        "asymptotics.py",
+        "sum((count * _rate(_h1_terms(n), basel[n])",
+        "sum((_rate(_h1_terms(n), basel[n])",
+        ("test_bigness.py", "test_asymptotics.py", "test_acceptance.py"),
+        "killed",
+    ),
+    # mu's closed Fourier-Dedekind sum
+    Mutant(
+        "mu-class-count-plus-two",
+        "invariants.py",
+        "        count = (m - q) // order + 1",
+        "        count = (m - q) // order + 2",
+        MU_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "mu-dedekind-term-sign-flipped",
+        "invariants.py",
+        " - 6 * k * (order - k))",
+        " + 6 * k * (order - k))",
+        MU_TESTS,
         "killed",
     ),
     # h1 has no exact check past the cyclotomic oracle's range

@@ -12,7 +12,9 @@ from ansing.asymptotics import (
     h0_omega_float,
     h0_omega_limit_float,
     h0_omega_limit_report,
+    h1_omega_sum,
     integrate_piece,
+    omega_rates,
     pieces,
     upper_integral,
     _basel_sums,
@@ -358,6 +360,24 @@ def test_rates_match_fraction_accumulation():
         h0 = F(4, 3) * basel - F(12 * n**4 + 65 * n**3 + 117 * n**2 + 72 * n, den)
         h1 = F(n**5 + 19 * n**4 + 83 * n**3 + 137 * n**2 + 80 * n, den) - F(4, 3) * basel
         assert (h0_omega(n), h1_omega(n)) == (h0, h1), n
+
+
+def test_omega_rates_are_the_two_rates():
+    for n in (*range(1, 61), cli.OMEGA_N_LIMIT):
+        assert omega_rates(n) == (h0_omega(n), h1_omega(n)), n
+    with pytest.raises(ValueError):
+        omega_rates(0)
+
+
+def test_h1_omega_sum_weights_each_rate_by_its_count():
+    assert h1_omega_sum(()) == 0
+    # repeated n, unsorted, n = 1 and the largest n in the middle
+    entries = ((7, 3), (2, 1), (40, 1), (7, 2), (1, 5), (2, 4))
+    assert h1_omega_sum(entries) == sum((count * h1_omega(n) for n, count in entries), F(0))
+    assert h1_omega_sum(((3, 1),)) == h1_omega(3)
+    for entries in (((0, 1),), ((3, 1), (-2, 1)), ((5, 1), (0, 2), (5, 3))):
+        with pytest.raises(ValueError):
+            h1_omega_sum(entries)
 
 
 def _rate_by_fraction(terms, n):

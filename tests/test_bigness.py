@@ -91,6 +91,14 @@ def test_one_basel_pass_matches_the_per_entry_rates():
         assert result["total"] == expected + s2 / 6
 
 
+def test_entry_below_one_raises_value_error():
+    # config_from_dict admits n >= 1 only; a library caller that passes a
+    # smaller n gets the ValueError of h1_omega(0), not a KeyError
+    for sings in (((0, 1),), ((2, 1), (-3, 2))):
+        with pytest.raises(ValueError):
+            evaluate_criterion(("x", F(0), sings))
+
+
 def test_chern_pair_input_and_consistency():
     cfg = config_from_dict({"c1sq": "9", "c2": "8", "singularities": []})
     assert cfg[1] == 1

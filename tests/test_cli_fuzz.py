@@ -343,15 +343,17 @@ def config_texts(draw) -> str:
 
 
 # the real Basel partial sums, computed once per bound: admitted n at the
-# bound stay cheap
-_basel_prefix = functools.cache(lambda n_max: tuple(asymptotics._basel_sums(n_max)))
+# bound stay cheap.  The original function is captured here, before the test
+# patches its name, or the prefix would call the patch itself.
+_basel_sums = asymptotics._basel_sums
+_basel_prefix = functools.cache(lambda n_max: tuple(_basel_sums(n_max)))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(text=config_texts())
 def test_cli_contract_holds_for_any_bigness_config(text):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
-        bigness, "_basel_sums", lambda n_max: iter(_basel_prefix(n_max))
+        asymptotics, "_basel_sums", lambda n_max: iter(_basel_prefix(n_max))
     ):
         path = Path(tmp) / "surface.json"
         path.write_text(text)
