@@ -186,11 +186,15 @@ def __getattr__(name: str):
 
 # Input bounds, used by _VERBS.  Each is sized so that the slowest call it
 # admits takes about 1.6 s or less on a 2-core x86 machine under Python
-# 3.11: h1 at --n 1000000 --m 1000000, a sweep from 0 to --m-to 1500, fit
-# --n 4 --degree 20 --max-period 40 --m-to 1500, integral-check --n 1000
-# --m 1000000, divisor --n 1000000 --m 1000000, polygon --n 10000
-# --m 1000000, limits --n 100000.  oracle-verify --n 16 --m 30 takes about
-# 0.12 s in a fresh process, 0.05-0.07 s of it in hsum_oracle.
+# 3.11.  In fresh processes there, with hsum at O(sqrt(m)) row evaluations
+# (3 ms at m = 1000000), none takes more than about 0.6 s: divisor
+# --n 1000000 --m 1000000 and a sweep from 0 to --m-to 1500 at --n 1000000
+# (mostly its 1501 mu values) about 0.55 s, h1 at --n 1000000 --m 1000000
+# about 0.4 s (0.3 s of it in mu), polygon --n 10000 --m 1000000 0.33 s,
+# fit --n 4 --degree 20 --max-period 40 --m-to 1500 and a sweep to
+# --m-to 1500 at --n 4 0.2-0.26 s, integral-check --n 1000 --m 1000000
+# 0.12 s, limits --n 100000 0.1-0.13 s.  oracle-verify --n 16 --m 30 takes
+# about 0.12 s, 0.05-0.07 s of it in hsum_oracle.
 M_LIMIT = 1_000_000
 N_LIMIT = 1_000_000  # mu's cost grows with n
 M_TO_LIMIT = 1500  # fit and hsum-sweep: hsum at every m up to it

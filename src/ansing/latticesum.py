@@ -24,7 +24,11 @@ failing parity weigh 0, and so do points off the polygon.  ``hsum`` never
 evaluates the weight point by point (that walk is kept as a test oracle):
 it sums each row x2 = const in closed form, and finds the row's crossing
 from triangular-number thresholds instead of searching for it (the
-bisection it replaced is kept as a test oracle too).
+bisection it replaced is kept as a test oracle too).  Nor does it visit
+every row: inside a run of rows with the same crossing interval, each
+residue class of rows is a quadratic in the row index, so a long run is
+summed from three rows per class (the row-by-row sum it replaced is the
+test oracle ``hsum_rows``).
 """
 
 from __future__ import annotations
@@ -52,7 +56,9 @@ def hsum(n: int, m: int) -> int:
     The weight is even in x2 and the x1 range depends only on a = |x2|, so
     row a = 0 is summed once and rows a = 1..m+1 twice.  Each row is summed
     in closed form around its crossing, with O(1) integer operations and
-    no search, so a call costs O(m).
+    no search (the loop adds up twice each row, so no closed form needs a
+    halving); long runs of rows are summed from a few of their rows, so a
+    call costs O(sqrt(m)) row evaluations.
 
     On row a write x1 = start + 2j, j >= 0.  With
     low = (m - start - (n+1)a)/2 the halved chart terms of the weight
@@ -88,7 +94,38 @@ def hsum(n: int, m: int) -> int:
 
     c changes only at the thresholds a = (m+1) // T_c, so the rows fall
     into at most min(n + 1, sqrt(2m + 2)) runs of constant c, each with
-    its constants hoisted.
+    its constants hoisted.  Within a run, with span = (n+1)a, the row is
+    a quadratic in a on each residue class mod L = lcm(2, c + 1), on each
+    side of the cut between span <= m + 1 and span >= m + 2:
+
+    - low's >> 1 depends only on a mod 2, and s drops by exactly T_c when
+      a grows by c + 1.  So on a class a = a0 + L*t, span, low, high, s
+      and cross are linear in t, and the row's closed forms are quadratic
+      in t, as long as no branch flips.
+    - span <= m + 1: high = (m + span) // 2 <= m, so positive_from = 0,
+      and cross >= 0 keeps the cap side.  below = low >= -1, and
+      T(x) = x(x+1)/2 is 0 at x = 0 and x = -1, so the test below > 0
+      never changes the row: it subtracts T(low), one quadratic.
+    - span >= m + 2: low = m + 1 - span (at span = m + 2 the >> 1 form
+      gives -1 as well), high = m + 1, positive_from = 1 and
+      below = m - span < 0.  positive_from <= cross fails only at
+      cross = 0 (as at c = 1, a = m + 1), where the cap side's closed form
+      is -(m+1) + T(m+1) - T(m) = 0.  So this side is one quadratic too,
+      the row with span = m + 2, if (n+1) | (m+2), included.  The lower
+      side's quadratic passes through that row as well (low = -1 and
+      high = m + 1 there, so a cap side from j = 0 adds only
+      cap(0) = 0, and T(low) = 0), so it needs no sum of its own.
+
+    If a class has N rows with the values q(0), q(1), ... of a quadratic
+    q, then q(t) = q(0) + C(t,1) dq + C(t,2) d2q in forward differences,
+    and the class sums to N q(0) + C(N,2) dq + C(N,3) d2q, exactly, in
+    integers.  So a side of a run can be summed from its first 3L rows,
+    three in every class.  It is, once it holds at least 6L rows, twice
+    those it reads; a shorter side is walked row by row, since the class
+    sums cost about as much as the rows they would save.  A run then costs
+    fewer than 12L <= 24(c + 1) row evaluations, and no more than its
+    length, about 4(m+1)/(c(c+1)(c+2)) rows.  The two bounds meet near
+    c = (m/6)**(1/4), so a call costs O(sqrt(m)) evaluations.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -98,41 +135,84 @@ def hsum(n: int, m: int) -> int:
     s = (m + 1) // (n + 2)
     cross = low - s
     row_zero = (n + 2) * s * (s + 1) // 2 + cross * (m + 1) - low * (low + 1)
-    rows = 0  # rows a = 1..m+1
+    rows = 0  # rows x2 = a and x2 = -a, a = 1..m+1: the loop's row is twice one
     first = 1
+    n1, m1, m2 = n + 1, m + 1, m + 2  # hoisted out of the row loop
+    lower = m1 // n1  # the last row with span <= m + 1
     # a >= 1 needs T_c <= m + 1, so c stops below sqrt(2m + 2) whatever n is
-    for c in range(min(n + 1, (isqrt(8 * m + 9) - 1) // 2), 0, -1):
+    for c in range(min(n1, (isqrt(8 * m + 9) - 1) // 2), 0, -1):
         tri = c * (c + 1) // 2
-        last = (m + 1) // tri
+        last = m1 // tri
         if last < first:
             continue
-        k = n + 1 - c
+        k = n1 - c
         slope = c + 1
         pairs = c * (c - 1) // 2
         squares = (c - 1) * c * (2 * c - 1) // 6
-        for a in range(first, last + 1):
-            span = (n + 1) * a
-            # x1 starts at 0 while (n+1)a <= m+2, and at (n+1)a - m - 2 beyond
-            low = (m - span) >> 1 if span <= m + 2 else m + 1 - span
-            high = low + span
-            s = (m + 1 - a * tri) // slope
-            cross = low + k * a - s
-            # sum of tot(j) for j >= cross: triangles of s + i*a, i < c
-            row = (c * s * (s + 1) + a * (2 * s + 1) * pairs + a * a * squares) // 2
-            # sum of cap(j) for max(0, high - m) <= j < cross; at equality
-            # it is -T(low - cross), the cancellation for c = n+1.  Past
-            # it, cap(cross) <= 0 forces tot(cross) = 0: no ramp to cancel.
-            positive_from = high - m if high > m else 0
-            if positive_from <= cross:
-                top = high - positive_from
-                rest = high - cross
-                row += (
-                    (cross - positive_from) * (m + 1)
-                    - (top * (top + 1) - rest * (rest + 1)) // 2
-                )
-                below = low - positive_from
-                if below > 0:
-                    row -= below * (below + 1) // 2
-            rows += row
+        period = slope if c & 1 else 2 * slope  # lcm(2, c + 1)
+        sample = 3 * period  # the rows that give every class three
+        # (start, stop, count): evaluate rows start..stop-1; count > 0 marks
+        # them as the first 3L rows of a side of count rows
+        if last - first < 2 * sample - 1:
+            pieces = ((first, last + 1, 0),)
+        else:
+            pieces = []
+            for side_first, side_last in ((first, min(last, lower)), (max(first, lower + 1), last)):
+                count = side_last - side_first + 1
+                if count >= 2 * sample:
+                    pieces.append((side_first, side_first + sample, count))
+                elif count > 0:
+                    pieces.append((side_first, side_last + 1, 0))
+        for start, stop, count in pieces:
+            values = []
+            for a in range(start, stop):
+                span = n1 * a
+                # x1 starts at 0 while (n+1)a <= m+2, and at (n+1)a - m - 2 beyond
+                low = (m - span) >> 1 if span <= m2 else m1 - span
+                high = low + span
+                s = (m1 - a * tri) // slope
+                cross = low + k * a - s
+                # twice the sum of tot(j) for j >= cross: triangles of s + i*a, i < c
+                row = c * s * (s + 1) + a * ((2 * s + 1) * pairs + a * squares)
+                # twice the sum of cap(j) for max(0, high - m) <= j < cross:
+                # m + 1 each, less T(high - positive_from) - T(high - cross)
+                # and T(below); at equality it is -T(low - cross), the
+                # cancellation for c = n+1.  Past it, cap(cross) <= 0 forces
+                # tot(cross) = 0: no ramp to cancel.
+                positive_from = high - m if high > m else 0
+                if positive_from <= cross:
+                    row += (cross - positive_from) * (2 * (m1 - high) + positive_from + cross - 1)
+                    below = low - positive_from
+                    if below > 0:
+                        row -= below * (below + 1)
+                if count:
+                    values.append(row)
+                else:
+                    rows += row
+            if count:
+                rows += _class_sums(values, period, count)
         first = last + 1
-    return row_zero + 2 * rows
+    return row_zero + rows
+
+
+def _class_sums(values: list[int], period: int, count: int) -> int:
+    """The sum of count rows, each residue class mod period a quadratic,
+    from the values of the first 3*period rows.
+
+    A class with N rows sums to N f0 + C(N,2) (f1 - f0) + C(N,3) (f2 - 2f1 + f0)
+    over its first three values f0, f1, f2.  The first count % period
+    classes hold one row more than the others, and the sum is linear in
+    (f0, f1, f2), so each group of classes is summed at once.
+    """
+    full, extra = divmod(count, period)
+    total = 0
+    for size, lo, hi in ((full + 1, 0, extra), (full, extra, period)):
+        f0 = sum(values[lo:hi])
+        f1 = sum(values[lo + period:hi + period])
+        f2 = sum(values[lo + 2 * period:hi + 2 * period])
+        total += (
+            size * f0
+            + size * (size - 1) // 2 * (f1 - f0)
+            + size * (size - 1) * (size - 2) // 6 * (f2 - 2 * f1 + f0)
+        )
+    return total

@@ -2,7 +2,8 @@
 
 ``latticesum.hsum`` sums each row of the polygon in closed form, locating
 the row's crossing from triangular-number thresholds, and never evaluates a
-single weight.  The functions here compute the same count other ways, so
+single weight; long runs of rows it sums per residue class from three rows
+each.  The functions here compute the same count other ways, so
 the tests can check the row sums against enumerations that share nothing
 with them: ``hsum_pointwise`` calls ``weight`` once per parity-valid point,
 and ``hsum_via_triples`` calls the per-block ``hsum_triple``, built on the
@@ -10,11 +11,14 @@ chart codimensions of ``monoblocks`` and the regular-part dimension
 ``dim_vreg``, once per admissible block.
 ``hsum_bisection`` still sums rows in closed form but finds each crossing
 by bisection; it is O(m log m), so it checks the kernel at degrees where
-the pointwise walk is too slow.
+the pointwise walk is too slow.  ``hsum_rows`` is the kernel's own row
+formula summed over every row, O(m): it checks the residue-class sums
+row for row, at degrees where even the bisection is too slow.
 """
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Iterator
 
 from ansing.monoblocks import TripleIndex, admissible_triples, codim_reg
@@ -113,6 +117,60 @@ def hsum_triple(t: TripleIndex) -> int:
 def hsum_via_triples(n: int, m: int) -> int:
     """hsum recomputed blockwise over admissible triples."""
     return sum(hsum_triple(t) for t in admissible_triples(n, m))
+
+
+def hsum_rows(n: int, m: int) -> int:
+    """hsum with every row a = 1..m+1 summed by its closed form, one at a time.
+
+    The row formula and its proof are ``latticesum.hsum``'s; this is the
+    O(m) loop that kernel had before it summed long runs per residue class.
+    """
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    # row 0: all n + 2 ramps start at low = m // 2, so cap - tot has slope
+    # n + 2 below it and is positive above it; cross >= 0 as (m+1)//3 <= m//2
+    low = m >> 1
+    s = (m + 1) // (n + 2)
+    cross = low - s
+    row_zero = (n + 2) * s * (s + 1) // 2 + cross * (m + 1) - low * (low + 1)
+    rows = 0  # rows a = 1..m+1
+    first = 1
+    # a >= 1 needs T_c <= m + 1, so c stops below sqrt(2m + 2) whatever n is
+    for c in range(min(n + 1, (isqrt(8 * m + 9) - 1) // 2), 0, -1):
+        tri = c * (c + 1) // 2
+        last = (m + 1) // tri
+        if last < first:
+            continue
+        k = n + 1 - c
+        slope = c + 1
+        pairs = c * (c - 1) // 2
+        squares = (c - 1) * c * (2 * c - 1) // 6
+        for a in range(first, last + 1):
+            span = (n + 1) * a
+            # x1 starts at 0 while (n+1)a <= m+2, and at (n+1)a - m - 2 beyond
+            low = (m - span) >> 1 if span <= m + 2 else m + 1 - span
+            high = low + span
+            s = (m + 1 - a * tri) // slope
+            cross = low + k * a - s
+            # sum of tot(j) for j >= cross: triangles of s + i*a, i < c
+            row = (c * s * (s + 1) + a * (2 * s + 1) * pairs + a * a * squares) // 2
+            # sum of cap(j) for max(0, high - m) <= j < cross; at equality
+            # it is -T(low - cross), the cancellation for c = n+1.  Past
+            # it, cap(cross) <= 0 forces tot(cross) = 0: no ramp to cancel.
+            positive_from = high - m if high > m else 0
+            if positive_from <= cross:
+                top = high - positive_from
+                rest = high - cross
+                row += (
+                    (cross - positive_from) * (m + 1)
+                    - (top * (top + 1) - rest * (rest + 1)) // 2
+                )
+                below = low - positive_from
+                if below > 0:
+                    row -= below * (below + 1) // 2
+            rows += row
+        first = last + 1
+    return row_zero + 2 * rows
 
 
 def hsum_bisection(n: int, m: int) -> int:

@@ -46,6 +46,7 @@ ORACLE_TESTS = ("test_oracle.py",)
 RANK_TESTS = ("test_oracle.py", "test_oracle_property.py")
 ASYMPTOTICS_TESTS = ("test_asymptotics.py",)
 MU_TESTS = ("test_invariants.py", "test_acceptance.py")
+LATTICE_TESTS = ("test_latticesum.py",)
 
 MUTANTS = (
     # the shared-basis oracle
@@ -172,6 +173,82 @@ MUTANTS = (
         "sum((count * _rate(_h1_terms(n), basel[n])",
         "sum((_rate(_h1_terms(n), basel[n])",
         ("test_bigness.py", "test_asymptotics.py", "test_acceptance.py"),
+        "killed",
+    ),
+    # hsum's row formula and its residue-class sums.  Two neighbours of these
+    # are equivalent, not listed: the span = m + 2 row moved into the lower
+    # side, and the zero-clip start high - m lowered by one (both change only
+    # terms that are exactly 0)
+    Mutant(
+        "hsum-class-period-c-plus-one",
+        "latticesum.py",
+        "        period = slope if c & 1 else 2 * slope  # lcm(2, c + 1)\n",
+        "        period = slope\n",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-class-sum-cubic-binomial-as-pairs",
+        "latticesum.py",
+        "size * (size - 1) * (size - 2) // 6",
+        "size * (size - 1) // 2",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-lower-side-ends-one-row-late",
+        "latticesum.py",
+        "    lower = m1 // n1  #",
+        "    lower = m1 // n1 + 1  #",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-lower-side-ends-one-row-early",
+        "latticesum.py",
+        "    lower = m1 // n1  #",
+        "    lower = m1 // n1 - 1  #",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-class-groups-swapped",
+        "latticesum.py",
+        "((full + 1, 0, extra), (full, extra, period))",
+        "((full, 0, extra), (full + 1, extra, period))",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-crossing-s-plus-one",
+        "latticesum.py",
+        "                s = (m1 - a * tri) // slope\n",
+        "                s = (m1 - a * tri) // slope + 1\n",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-crossing-s-minus-one",
+        "latticesum.py",
+        "                s = (m1 - a * tri) // slope\n",
+        "                s = (m1 - a * tri) // slope - 1\n",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-zero-clip-start-plus-one",
+        "latticesum.py",
+        "positive_from = high - m if high > m else 0\n",
+        "positive_from = high - m + 1 if high > m else 0\n",
+        LATTICE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "hsum-zero-clip-start-minus-one-at-zero",
+        "latticesum.py",
+        "positive_from = high - m if high > m else 0\n",
+        "positive_from = high - m if high > m else -1\n",
+        LATTICE_TESTS,
         "killed",
     ),
     # mu's closed Fourier-Dedekind sum

@@ -11,6 +11,7 @@ from lattice_oracle import (
     contains,
     hsum_bisection,
     hsum_pointwise,
+    hsum_rows,
     hsum_triple,
     hsum_via_triples,
     lattice_points,
@@ -186,6 +187,9 @@ def test_hsum_follows_its_quasi_polynomial_far_beyond_the_oracles():
         qp = fit(samples, 3, 12)
         for m in range(20000, 20000 + qp.period):
             assert hsum(n, m) == qp.evaluate(m)
+        # and at the CLI's --m bound, far past hsum_rows' reach in tier-1
+        for m in range(10**6 - qp.period, 10**6 + 1):
+            assert hsum(n, m) == qp.evaluate(m)
 
 
 def test_hsum_cache_is_bounded():
@@ -199,3 +203,66 @@ def test_hsum_cache_is_bounded():
         assert hsum.cache_info().currsize == HSUM_CACHE_SIZE
     finally:
         hsum.cache_clear()
+
+
+def test_hsum_equals_row_by_row_sum_on_grid():
+    mismatches = [
+        (n, m)
+        for n in range(1, 41)
+        for m in range(0, 241)
+        if hsum(n, m) != hsum_rows(n, m)
+    ]
+    assert mismatches == []
+
+
+def test_hsum_equals_row_by_row_sum_around_the_span_m_plus_2_row():
+    # the row with (n+1)a = m + 2 exists only when (n+1) | (m+2); past the
+    # grid above, take the first three such m for each n and the m after each
+    mismatches = [
+        (n, m)
+        for n in range(1, 41)
+        for first in [240 + (-242) % (n + 1) + (n + 1) * i for i in range(3)]
+        for m in (first, first + 1)
+        if hsum(n, m) != hsum_rows(n, m)
+    ]
+    assert mismatches == []
+
+
+def _sides(n, m):
+    """(c, side, rows, period) for each side of each run of constant c, as
+    hsum's docstring defines them: side 0 holds the rows with
+    (n+1)a <= m + 1, side 1 the rows after them."""
+    lower = (m + 1) // (n + 1)
+    first = 1
+    c = n + 1
+    while c * (c + 1) // 2 > m + 1:
+        c -= 1
+    for c in range(c, 0, -1):
+        last = (m + 1) // (c * (c + 1) // 2)
+        period = c + 1 if c % 2 else 2 * (c + 1)
+        for side, lo, hi in ((0, first, min(last, lower)), (1, max(first, lower + 1), last)):
+            if hi >= lo:
+                yield c, side, hi - lo + 1, period
+        first = max(first, last + 1)
+
+
+def test_hsum_equals_row_by_row_sum_on_both_sides_of_the_closed_form_rule():
+    # the closed form reads three rows of every class, and a side takes it
+    # once it holds 6L rows: sides whose classes all hold 2 or 3 rows, and
+    # sides one row short of the rule, at it and one past it
+    sizes = {"2L": (2, 0), "3L": (3, 0), "6L-1": (6, -1), "6L": (6, 0), "6L+1": (6, 1)}
+    wanted = {(side, rows): [] for side in (0, 1) for rows in sizes}
+    for n in range(1, 9):
+        for m in range(0, 500):
+            for c, side, count, period in _sides(n, m):
+                for rows, (classes, plus) in sizes.items():
+                    if count == classes * period + plus:
+                        wanted[side, rows].append((n, m))
+    assert all(len(points) >= 3 for points in wanted.values()), wanted
+    mismatches = [
+        (n, m)
+        for points in wanted.values()
+        for n, m in points[:20]
+        if hsum(n, m) != hsum_rows(n, m)
+    ]
+    assert mismatches == []
