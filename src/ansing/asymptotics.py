@@ -4,21 +4,24 @@ For fixed n the upper half of the weight polygon tiles into n+2 pieces on
 which the weight is a single affine function of (x1, x2) and m.  Integrating
 those affine weights exactly gives a degree-3 polynomial in m whose leading
 coefficient is the closed-form cubic growth rate h0_omega(n); the lattice
-sum deviates from the integral by at most O(m).
+sum deviates from the integral by at most O(m).  Wherever n m >= 2 that
+polynomial is h0_omega(n) (m+1)^3 - (m+1)/(2(n+1)), which ``upper_integral``
+returns without building a piece (the proof is in its docstring).
 
 The geometry is computed once, in integers: every vertex is a reduced triple
 (X, Y, Q), Q > 0, standing for the point (X/Q, Y/Q), and every weight is an
 integer form over W in {1, 2}.  Pieces that degenerate for tiny m (a vertex
-drifting into x1 < 0) are clipped to x1 >= 0 on those triples, which leaves
-them in the closed positive quadrant.  ``pieces`` turns the triples into
-Fractions; ``upper_integral`` never does.
+drifting into x1 < 0, only at n m < 2) are clipped to x1 >= 0 on those
+triples, which leaves them in the closed positive quadrant.  ``pieces``
+turns the triples into Fractions; the piece sum ``upper_integral`` takes at
+n m < 2 never does.
 
 Integration is exact: each piece is fan-triangulated from its first vertex
 and an affine integrand contributes signed_area * (mean of the three vertex
 values) per triangle, which is an identity, not an approximation.  The sum is
-taken over the piece's vertices scaled to integers, and ``upper_integral``
-forms one fraction from the n+2 integer results.  The same geometry and
-integral in Fraction arithmetic are test oracles in tests/fraction_kernels.py.
+taken over the piece's vertices scaled to integers, and the piece sum forms
+one fraction from the n+2 integer results.  The same geometry and integral
+in Fraction arithmetic are test oracles in tests/fraction_kernels.py.
 
 Both cubic rates live here: h0_omega(n) of the obstruction counts and
 h1_omega(n) of the localized cohomology h1(n, m), each sign * (4/3) * B(n) +
@@ -171,7 +174,41 @@ def integrate_piece(vertices: tuple[Point, ...], weight: Weight, m: int) -> Frac
 
 
 def upper_integral(n: int, m: int) -> Fraction:
-    """Integral of the weight over the upper-half polygon, exactly.
+    """Integral of the weight over the upper-half polygon, exactly:
+    h0_omega(n) (m+1)^3 - (m+1)/(2(n+1)) whenever n m >= 2.
+
+    Write M = m + 1, y = x1 + 1 and a = x2, and take the weight
+    w = max(0, min(cap, tot)) of ``latticesum``'s docstring with real halves.
+
+    - cap and tot are homogeneous of degree 1 in (M, y, a), so the integral
+      of w over the cone y >= 0, a >= 0 is M^3 I(n), with I(n) the integral
+      of w at M = 1.
+    - w vanishes off the polygon: beyond its edge x1 - (n-1)a = m every
+      ramp of tot is negative, and beyond -x1 + (n+1)a = m + 2, cap < 0.  So the
+      integral over the polygon is the one over x1 >= 0, which is the cone
+      integral less the strip 0 <= y <= 1.
+    - On the strip, cap = y while (n+1)a <= M - y, then falls linearly to 0
+      at (n+1)a = M + y.  Pairing ramp r of tot with ramp n-1-r gives
+      (u+v)+ + (u-v)+ >= 2u, so tot >= n(M - y)/2 >= cap once n m >= 2,
+      and w = cap there.  The strip integral is
+      int_0^1 [y(M - y) + y^2]/(n+1) dy = M/(2(n+1)).
+    - The strip term is linear in M, so I(n) is the cubic coefficient of
+      the piece integrals, the closed-form rate h0_omega(n) (tests/
+      test_asymptotics.py fits it from the pieces for n <= 200).
+
+    n m < 2, that is m = 0 or n = m = 1, is exactly where ``base_right`` =
+    ((mn - 2)/(n+2), 0) has x1 < 0 and the clip acts; there the integral is
+    the sum over the pieces.
+    """
+    if n < 1 or m < 0:
+        raise ValueError("need n >= 1 and m >= 0")
+    if m * n < 2:
+        return _pieces_integral(n, m)
+    return h0_omega(n) * (m + 1) ** 3 - Fraction(m + 1, 2 * (n + 1))
+
+
+def _pieces_integral(n: int, m: int) -> Fraction:
+    """The sum of the n+2 piece integrals, exactly.
 
     Each piece's triples are scaled to integers over the lcm L of their Q,
     its integral taken as the integer pair (acc, 6 L^3 W), and the one

@@ -186,15 +186,16 @@ def __getattr__(name: str):
 
 # Input bounds, used by _VERBS.  Each is sized so that the slowest call it
 # admits takes about 1.6 s or less on a 2-core x86 machine under Python
-# 3.11.  In fresh processes there, with hsum at O(sqrt(m)) row evaluations
-# (3 ms at m = 1000000), none takes more than about 0.6 s: divisor
+# 3.11.  In fresh processes there, with hsum at O(m**(1/3)) row evaluations
+# (0.9 ms at m = 1000000), none takes more than about 0.55 s: divisor
 # --n 1000000 --m 1000000 and a sweep from 0 to --m-to 1500 at --n 1000000
-# (mostly its 1501 mu values) about 0.55 s, h1 at --n 1000000 --m 1000000
-# about 0.4 s (0.3 s of it in mu), polygon --n 10000 --m 1000000 0.33 s,
+# (mostly its 1501 mu values) about 0.5 s, h1 at --n 1000000 --m 1000000
+# about 0.35 s (0.3 s of it in mu), polygon --n 10000 --m 1000000 0.26 s,
 # fit --n 4 --degree 20 --max-period 40 --m-to 1500 and a sweep to
-# --m-to 1500 at --n 4 0.2-0.26 s, integral-check --n 1000 --m 1000000
-# 0.12 s, limits --n 100000 0.1-0.13 s.  oracle-verify --n 16 --m 30 takes
-# about 0.12 s, 0.05-0.07 s of it in hsum_oracle.
+# --m-to 1500 at --n 4 0.12-0.15 s, integral-check --n 1000 --m 1000000
+# 0.065 s (1 ms of it in the closed-form integral), limits --n 100000
+# 0.07-0.09 s.  oracle-verify --n 16 --m 30 takes about 0.1 s, 0.05-0.07 s
+# of it in hsum_oracle.
 M_LIMIT = 1_000_000
 N_LIMIT = 1_000_000  # mu's cost grows with n
 M_TO_LIMIT = 1500  # fit and hsum-sweep: hsum at every m up to it
@@ -202,7 +203,7 @@ DEGREE_LIMIT = 20
 MAX_PERIOD_LIMIT = 40
 ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
 ORACLE_M_LIMIT = 30  # that grows polynomially in both n and m
-INTEGRAL_N_LIMIT = 1000  # integral-check: exact integrals over n + 2 pieces
+INTEGRAL_N_LIMIT = 1000  # integral-check: h0_omega(n)'s exact Basel pair; n + 2 pieces at m = 0
 POLYGON_N_LIMIT = 10_000  # polygon: n + 2 pieces, each with exact vertices
 LIMITS_N_LIMIT = 100_000  # limits: float Basel sums of n_max terms for the gaps and ratios
 # omega: past it the exact rates' numerators exceed CPython's 4300-digit

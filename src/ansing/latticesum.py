@@ -25,9 +25,9 @@ evaluates the weight point by point (that walk is kept as a test oracle):
 it sums each row x2 = const in closed form, and finds the row's crossing
 from triangular-number thresholds instead of searching for it (the
 bisection it replaced is kept as a test oracle too).  Nor does it visit
-every row: inside a run of rows with the same crossing interval, each
-residue class of rows is a quadratic in the row index, so a long run is
-summed from three rows per class (the row-by-row sum it replaced is the
+every row: inside a run of rows with the same crossing interval, the even
+rows and the odd rows are each a quadratic in the row index, so a long run
+is summed from three rows of each (the row-by-row sum it replaced is the
 test oracle ``hsum_rows``).
 """
 
@@ -58,7 +58,7 @@ def hsum(n: int, m: int) -> int:
     in closed form around its crossing, with O(1) integer operations and
     no search (the loop adds up twice each row, so no closed form needs a
     halving); long runs of rows are summed from a few of their rows, so a
-    call costs O(sqrt(m)) row evaluations.
+    call costs O(m**(1/3)) row evaluations.
 
     On row a write x1 = start + 2j, j >= 0.  With
     low = (m - start - (n+1)a)/2 the halved chart terms of the weight
@@ -95,13 +95,14 @@ def hsum(n: int, m: int) -> int:
     c changes only at the thresholds a = (m+1) // T_c, so the rows fall
     into at most min(n + 1, sqrt(2m + 2)) runs of constant c, each with
     its constants hoisted.  Within a run, with span = (n+1)a, the row is
-    a quadratic in a on each residue class mod L = lcm(2, c + 1), on each
-    side of the cut between span <= m + 1 and span >= m + 2:
+    a quadratic in a on each residue class mod 2, on each side of the cut
+    between span <= m + 1 and span >= m + 2:
 
-    - low's >> 1 depends only on a mod 2, and s drops by exactly T_c when
-      a grows by c + 1.  So on a class a = a0 + L*t, span, low, high, s
-      and cross are linear in t, and the row's closed forms are quadratic
-      in t, as long as no branch flips.
+    - When a grows by 2, span grows by 2(n+1), so low drops by exactly
+      n + 1, and a*T_c grows by c(c+1), a multiple of c + 1, so s drops by
+      exactly c.  So on a class a = a0 + 2t, span, low, high, s and cross
+      are linear in t, and the row's closed forms are quadratic in t, as
+      long as no branch flips.
     - span <= m + 1: high = (m + span) // 2 <= m, so positive_from = 0,
       and cross >= 0 keeps the cap side.  below = low >= -1, and
       T(x) = x(x+1)/2 is 0 at x = 0 and x = -1, so the test below > 0
@@ -119,13 +120,15 @@ def hsum(n: int, m: int) -> int:
     If a class has N rows with the values q(0), q(1), ... of a quadratic
     q, then q(t) = q(0) + C(t,1) dq + C(t,2) d2q in forward differences,
     and the class sums to N q(0) + C(N,2) dq + C(N,3) d2q, exactly, in
-    integers.  So a side of a run can be summed from its first 3L rows,
-    three in every class.  It is, once it holds at least 6L rows, twice
+    integers.  So a side of a run can be summed from its first 6 rows,
+    three in each class.  It is, once it holds at least 12 rows, twice
     those it reads; a shorter side is walked row by row, since the class
     sums cost about as much as the rows they would save.  A run then costs
-    fewer than 12L <= 24(c + 1) row evaluations, and no more than its
-    length, about 4(m+1)/(c(c+1)(c+2)) rows.  The two bounds meet near
-    c = (m/6)**(1/4), so a call costs O(sqrt(m)) evaluations.
+    at most 11 row evaluations, and the one run holding the cut at most
+    22.  A run is about 4(m+1)/(c(c+1)(c+2)) rows long, so the runs of
+    12 rows or more have c below about (m/3)**(1/3), and the shorter runs
+    above it hold O(m**(1/3)) rows together: a call costs O(m**(1/3)) row
+    evaluations, plus O(min(n, sqrt(m))) steps of the loop over c.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
@@ -149,10 +152,10 @@ def hsum(n: int, m: int) -> int:
         slope = c + 1
         pairs = c * (c - 1) // 2
         squares = (c - 1) * c * (2 * c - 1) // 6
-        period = slope if c & 1 else 2 * slope  # lcm(2, c + 1)
+        period = 2  # low and s are linear on each class of a mod 2
         sample = 3 * period  # the rows that give every class three
         # (start, stop, count): evaluate rows start..stop-1; count > 0 marks
-        # them as the first 3L rows of a side of count rows
+        # them as the first 3 * period rows of a side of count rows
         if last - first < 2 * sample - 1:
             pieces = ((first, last + 1, 0),)
         else:

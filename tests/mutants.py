@@ -140,6 +140,33 @@ MUTANTS = (
         ASYMPTOTICS_TESTS,
         "killed",
     ),
+    # upper_integral's closed form and its guard.  The guard m * n < 3 is an
+    # equivalent mutant, not listed: at n m = 2 the closed form and the piece
+    # sum agree
+    Mutant(
+        "upper-integral-cube-of-m",
+        "asymptotics.py",
+        "(m + 1) ** 3",
+        "m ** 3",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-strip-over-2n",
+        "asymptotics.py",
+        "Fraction(m + 1, 2 * (n + 1))",
+        "Fraction(m + 1, 2 * n)",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-guard-misses-n-m-one",
+        "asymptotics.py",
+        "    if m * n < 2:\n",
+        "    if m * n < 1:\n",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
     # the cubic rates: the exact Basel pairs, the rate's one fraction and the
     # bigness criterion's weighted sum
     Mutant(
@@ -180,10 +207,10 @@ MUTANTS = (
     # side, and the zero-clip start high - m lowered by one (both change only
     # terms that are exactly 0)
     Mutant(
-        "hsum-class-period-c-plus-one",
+        "hsum-class-period-one",
         "latticesum.py",
-        "        period = slope if c & 1 else 2 * slope  # lcm(2, c + 1)\n",
-        "        period = slope\n",
+        "        period = 2  # low and s are linear on each class of a mod 2\n",
+        "        period = 1\n",
         LATTICE_TESTS,
         "killed",
     ),

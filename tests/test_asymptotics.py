@@ -21,6 +21,7 @@ from ansing.asymptotics import (
     _h0_terms,
     _h1_terms,
     _increasing_to,
+    _pieces_integral,
 )
 from ansing.invariants import h1_omega
 from ansing.quasifit import fit
@@ -475,15 +476,37 @@ def test_every_growth_step_from_two_on_is_positive(terms, degree):
     assert _increasing_to(terms, GROWTH_CHECK_CAP)
 
 
+def _geometry_integral(n, m):
+    """The integral as the sum of the piece integrals, independent of
+    upper_integral's closed form."""
+    return sum((integrate_piece(verts, w, m) for verts, w in pieces(n, m)), F(0))
+
+
 def test_integral_cubic_fit_leading_coefficient():
-    # the exact integral is a cubic polynomial in m whose leading coefficient
-    # is the closed-form growth rate; quadratic coefficient is 3x that.  The
-    # fit interpolates m = 6..24 and checks the cubic at m = 30 and 36.
+    # the piece integrals sum to a cubic in m whose leading coefficient is
+    # the closed-form growth rate; quadratic coefficient is 3x that.  The fit
+    # interpolates m = 6..24 and checks the cubic at m = 30 and 36.
     for n in (1, 2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200):
-        values = tuple((m, upper_integral(n, m)) for m in range(6, 37, 6))
+        values = tuple((m, _geometry_integral(n, m)) for m in range(6, 37, 6))
         (coeffs,) = fit(values, 3, 1).branches
         assert coeffs[3] == h0_omega(n)
         assert coeffs[2] == 3 * h0_omega(n)
+
+
+def test_upper_integral_closed_form_equals_the_pieces():
+    # from the first m with n m >= 2 on the clip does not act and both sides
+    # are cubics in m, so four consecutive m prove the identity at each n.
+    # The piece sum in integers (_pieces_integral) is the geometry of
+    # pieces and integrate_piece without their Fractions.
+    for n in [*range(1, 201), 1000]:
+        first = 2 if n == 1 else 1
+        for m in range(first, first + 4):
+            closed = h0_omega(n) * (m + 1) ** 3 - F(m + 1, 2 * (n + 1))
+            assert upper_integral(n, m) == closed == _pieces_integral(n, m), (n, m)
+    # around the clip boundary, n m in {1, 2}; (1, 1) still takes the piece sum
+    for n, m in ((1, 1), (1, 2), (2, 1)):
+        assert upper_integral(n, m) == _geometry_integral(n, m), (n, m)
+    assert upper_integral(1, 1) != h0_omega(1) * 8 - F(2, 4)
 
 
 def test_h0_asymptotic_check_example1_bound():

@@ -239,7 +239,7 @@ def _sides(n, m):
         c -= 1
     for c in range(c, 0, -1):
         last = (m + 1) // (c * (c + 1) // 2)
-        period = c + 1 if c % 2 else 2 * (c + 1)
+        period = 2
         for side, lo, hi in ((0, first, min(last, lower)), (1, max(first, lower + 1), last)):
             if hi >= lo:
                 yield c, side, hi - lo + 1, period
@@ -247,9 +247,9 @@ def _sides(n, m):
 
 
 def test_hsum_equals_row_by_row_sum_on_both_sides_of_the_closed_form_rule():
-    # the closed form reads three rows of every class, and a side takes it
-    # once it holds 6L rows: sides whose classes all hold 2 or 3 rows, and
-    # sides one row short of the rule, at it and one past it
+    # the closed form reads three rows of each class mod L = 2, and a side
+    # takes it once it holds 6L rows: sides whose classes all hold 2 or 3
+    # rows, and sides one row short of the rule, at it and one past it
     sizes = {"2L": (2, 0), "3L": (3, 0), "6L-1": (6, -1), "6L": (6, 0), "6L+1": (6, 1)}
     wanted = {(side, rows): [] for side in (0, 1) for rows in sizes}
     for n in range(1, 9):
