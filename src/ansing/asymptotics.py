@@ -12,9 +12,10 @@ The geometry is computed once, in integers: every vertex is a reduced triple
 (X, Y, Q), Q > 0, standing for the point (X/Q, Y/Q), and every weight is an
 integer form over W in {1, 2}.  Pieces that degenerate for tiny m (a vertex
 drifting into x1 < 0, only at n m < 2) are clipped to x1 >= 0 on those
-triples, which leaves them in the closed positive quadrant.  ``pieces``
-turns the triples into Fractions; the piece sum ``upper_integral`` takes at
-n m < 2 never does.
+triples, which leaves them in the closed positive quadrant.  They are
+public as ``integer_pieces``, which the ``polygon`` verb formats directly;
+``pieces`` turns the triples into Fractions; the piece sum
+``upper_integral`` takes at n m < 2 never does.
 
 Integration is exact: each piece is fan-triangulated from its first vertex
 and an affine integrand contributes signed_area * (mean of the three vertex
@@ -95,7 +96,7 @@ def _vertex(n: int, m: int, j: int) -> Triple:
     return _reduced(x, 2 * (m + 1) * d2, q)
 
 
-def _int_pieces(n: int, m: int) -> list[IntPiece]:
+def integer_pieces(n: int, m: int) -> list[IntPiece]:
     """The n+2 pieces in label order, as vertex triples clipped to x1 >= 0
     and integer weights over their denominator W."""
     if n < 1 or m < 0:
@@ -123,7 +124,7 @@ def pieces(n: int, m: int) -> list[tuple[tuple[Point, ...], Weight]]:
     as (vertices, weight) pairs in label order 0..n+1."""
     points: dict[Triple, Point] = {}
     out = []
-    for verts, weight, wscale in _int_pieces(n, m):
+    for verts, weight, wscale in integer_pieces(n, m):
         for t in verts:
             if t not in points:
                 points[t] = (Fraction(t[0], t[2]), Fraction(t[1], t[2]))
@@ -215,7 +216,7 @@ def _pieces_integral(n: int, m: int) -> Fraction:
     fraction formed is the sum of the acc over the lcm of the denominators.
     """
     terms = []
-    for verts, weight, wscale in _int_pieces(n, m):
+    for verts, weight, wscale in integer_pieces(n, m):
         scale = lcm(*[q for _, _, q in verts])
         points = [(x * (scale // q), y * (scale // q)) for x, y, q in verts]
         terms.append(_fan_integral(points, scale, weight, wscale, m))

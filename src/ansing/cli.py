@@ -12,9 +12,13 @@ exit 2, a usage error included, prints one JSON object {"error": ...} on
 stderr and nothing on stdout.  Each verb accepts only the flags it reads.
 Verification verbs exit nonzero on mismatch so CI can gate on them.
 Handlers return exact Fractions, written as "p/q" only at output by
-format_rational, the JSON encoder's hook (csv's str() gives the same text).
-Timestamps are suppressed with --no-timestamp, and sweeps can persist rows,
-their rationals already "p/q", in an append-only checksummed cache.
+format_rational, the JSON encoder's hook (csv's str() gives the same text);
+polygon writes the same text straight from the integer pieces, with
+format_ratio.  Timestamps are suppressed with --no-timestamp, and sweeps
+can persist rows, their rationals already "p/q", in an append-only
+checksummed cache.  Its line layout is stated once, in _CANONICAL: the
+writer fills it in, and the reader splits the file on the sweep's own key
+and checks only the rows it wants against it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import asymptotics, bigness, extension, invariants, latticesum, oracle, quasifit
-from .exactmath import format_rational
+from .exactmath import format_ratio, format_rational
 from .quasifit import InsufficientSamplesError, NoPeriodFitsError
 
 
@@ -68,14 +72,38 @@ def _sweep_row(n: int, m: int) -> dict:
 _ROW_FIELDS = ("m", "hsum", "mu", "chi_orb", "h1")
 
 
-# A cache line is exactly what `_append_cache` writes,
+# The cache's line layout, stated once for both sides.  A line is
 #     {"checksum":"<64 hex digits>",  followed by  canonical[1:]
-# where canonical, the text the checksum hashes, is {"n":<n>,"row":{...}}
-# with sorted keys and no spaces.  A line in any other layout is not served.
+# where canonical, the text the checksum hashes, is _CANONICAL filled in:
+# json.dumps({"n": n, "row": row}) with sorted keys and no spaces, each
+# rational a "p/q" string and each int bare.  `_append_cache` writes it with
+# %.  `_load_cache` splits the file on _KEY, canonical[1:] up to the row's
+# first value, and matches what follows with _ROW, built from the rest, so
+# a line in any other layout is not served.
+_CANONICAL = '{"n":%d,"row":{"chi_orb":"%s","h1":"%s","hsum":%d,"m":%d,"mu":"%s"}}'
+_FIELDS = tuple(re.findall(r'"(\w+)":"?%', _CANONICAL))  # "n", then the row's, in order
+_KEY = _CANONICAL[1 : _CANONICAL.index("%s")]
 _HEAD = b'{"checksum":"'
-_DIGEST = slice(len(_HEAD), len(_HEAD) + 64)
-_BODY = _DIGEST.stop + 2  # canonical[1:] starts behind the '",'
-_ROW_M = re.compile(rb',"m":(\d+),')
+_LEAD = len(_HEAD) + 64 + 2  # the head, the digest and '",': canonical[1:] follows
+
+
+def _reader(text: str, names: tuple[str, ...]) -> re.Pattern:
+    """The pattern of the bytes `text % values` writes, each "%s" a "p/q"
+    group and each %d a group of a non-negative int with no leading zero,
+    named by `names` in order, ending at a line break or the end of input."""
+    values = {b"%s": rb"-?[0-9]+(?:/[0-9]+)?", b"%d": rb"0|[1-9][0-9]*"}
+    names = iter(names)
+    return re.compile(
+        re.sub(
+            rb"%[sd]",
+            lambda f: b"(?P<%s>%s)" % (next(names).encode("ascii"), values[f[0]]),
+            re.escape(text).encode("ascii"),
+        )
+        + rb"(?=[\r\n]|\Z)"
+    )
+
+
+_ROW = _reader(_CANONICAL[len(_KEY) + 1 :], _FIELDS[1:])
 
 
 def _cache_error(path: Path, exc: OSError) -> CliInputError:
@@ -85,9 +113,12 @@ def _cache_error(path: Path, exc: OSError) -> CliInputError:
 def _load_cache(path: Path, n: int, wanted: range) -> dict[int, dict]:
     """The verified rows of `n` whose m is in `wanted`, keyed by m.
 
-    Only lines in the writer's layout, for this n and a wanted m, are
-    hashed and parsed.  A line that fails is skipped, so its row is
-    recomputed.
+    The file is split on this n's key, so no line of another n reaches a
+    Python step.  Each row's m is read first; only a wanted one is checked:
+    its line starts the file or follows a line break, carries the head,
+    holds a row in the writer's layout (_ROW) and verifies against its
+    checksum.  A line that fails is skipped, so its row is recomputed; of
+    two lines for one m, the later one is served.
     """
     try:
         data = path.read_bytes()
@@ -95,27 +126,45 @@ def _load_cache(path: Path, n: int, wanted: range) -> dict[int, dict]:
         return {}
     except OSError as exc:
         raise _cache_error(path, exc) from exc
-    key = b'"n":%d,"row":' % n
+    key = (_KEY % n).encode("ascii")
+    pieces = data.split(key)  # pieces[i] holds the row behind key i, pieces[i - 1] its lead
     rows: dict[int, dict] = {}
-    for line in data.splitlines():
+    for index in range(1, len(pieces)):
+        piece = pieces[index]
+        at = piece.find(b',"m":') + 5
+        try:
+            m = int(piece[at : piece.find(b",", at)])
+        except ValueError:
+            continue
+        if m not in wanted:
+            continue
+        lead = pieces[index - 1]
+        start = len(lead) - _LEAD  # where the line starts
+        if start < 0 or (lead[start - 1] not in b"\r\n" if start else index > 1):
+            continue
+        found = _ROW.match(piece)  # its m, if it matches, is the one read above
         if not (
-            line.startswith(key, _BODY)
-            and line.startswith(_HEAD)
-            and line[_DIGEST.stop : _BODY] == b'",'
+            found
+            and lead.startswith(_HEAD, start)
+            and lead.endswith(b'",')
+            and (found.end() < len(piece) or index == len(pieces) - 1)
         ):
             continue
-        found = _ROW_M.search(line, _BODY + len(key))
+        canonical = b"{" + key + piece[: found.end()]
+        if hashlib.sha256(canonical).hexdigest().encode("ascii") != lead[-66:-2]:
+            continue  # corrupted row: recompute
+        hsum, mu, chi_orb, h1 = found.group("hsum", "mu", "chi_orb", "h1")
         try:
-            if found is None or int(found[1]) not in wanted:
-                continue
-            canonical = b"{" + line[_BODY:]
-            if hashlib.sha256(canonical).hexdigest().encode("ascii") != line[_DIGEST]:
-                continue  # corrupted row: recompute
-            row = json.loads(canonical)["row"]
-            # normalize key order: the cache serializes rows with sorted keys
-            rows[row["m"]] = {field: row[field] for field in _ROW_FIELDS}
-        except (ValueError, KeyError, TypeError):
-            continue  # unreadable line: recompute
+            hsum = int(hsum)
+        except ValueError:
+            continue  # past the int-to-str digit limit
+        rows[m] = {
+            "m": m,
+            "hsum": hsum,
+            "mu": mu.decode("ascii"),
+            "chi_orb": chi_orb.decode("ascii"),
+            "h1": h1.decode("ascii"),
+        }
     return rows
 
 
@@ -124,10 +173,10 @@ def _append_cache(path: Path, n: int, rows: list[dict]) -> None:
     newline if the file ends in a line a killed writer left unfinished."""
     lines = []
     for row in rows:
-        canonical = json.dumps({"n": n, "row": row}, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        canonical = _CANONICAL % (n, *[row[field] for field in _FIELDS[1:]])
+        digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
         lines.append(f'{{"checksum":"{digest}",{canonical[1:]}\n')
-    batch = "".join(lines).encode("utf-8")
+    batch = "".join(lines).encode("ascii")
     try:
         fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
@@ -190,7 +239,7 @@ def __getattr__(name: str):
 # (0.9 ms at m = 1000000), none takes more than about 0.55 s: divisor
 # --n 1000000 --m 1000000 and a sweep from 0 to --m-to 1500 at --n 1000000
 # (mostly its 1501 mu values) about 0.5 s, h1 at --n 1000000 --m 1000000
-# about 0.35 s (0.3 s of it in mu), polygon --n 10000 --m 1000000 0.26 s,
+# about 0.35 s (0.3 s of it in mu), polygon --n 10000 --m 1000000 0.2 s,
 # fit --n 4 --degree 20 --max-period 40 --m-to 1500 and a sweep to
 # --m-to 1500 at --n 4 0.12-0.15 s, integral-check --n 1000 --m 1000000
 # 0.065 s (1 ms of it in the closed-form integral), limits --n 100000
@@ -269,19 +318,20 @@ def _cmd_divisor(args):
 
 def _cmd_polygon(args):
     n, m = args.n, args.m
-    return {
-        "n": n,
-        "m": m,
-        "half_planes": latticesum.polygon(n, m),
-        "pieces": [
+    coordinates = {}  # triple -> its two coordinates as text; most vertices bound two pieces
+    pieces = []
+    for label, (vertices, weight, wscale) in enumerate(asymptotics.integer_pieces(n, m)):
+        for t in vertices:
+            if t not in coordinates:
+                coordinates[t] = (format_ratio(t[0], t[2]), format_ratio(t[1], t[2]))
+        pieces.append(
             {
                 "label": label,
-                "vertices": vertices,
-                "weight": dict(zip(("x1", "x2", "m", "const"), weight)),
+                "vertices": [coordinates[t] for t in vertices],
+                "weight": dict(zip(("x1", "x2", "m", "const"), [format_ratio(c, wscale) for c in weight])),
             }
-            for label, (vertices, weight) in enumerate(asymptotics.pieces(n, m))
-        ],
-    }, 0
+        )
+    return {"n": n, "m": m, "half_planes": latticesum.polygon(n, m), "pieces": pieces}, 0
 
 
 def _cmd_fit(args):

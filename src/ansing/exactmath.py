@@ -19,7 +19,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from collections.abc import Iterable, Sequence
 
 
@@ -50,6 +50,15 @@ def format_rational(value: Fraction | int) -> str:
     if isinstance(value, int):
         return str(int(value))  # int() writes a bool as "1" or "0"
     raise TypeError(f"not a rational: {type(value).__name__}")
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """The rational numerator/denominator, denominator > 0, as
+    ``format_rational`` writes it, from one gcd and no Fraction."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
 
 
 def scale_to_integers(values: Iterable[int | Fraction]) -> tuple[list[int], int]:

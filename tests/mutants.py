@@ -47,6 +47,7 @@ RANK_TESTS = ("test_oracle.py", "test_oracle_property.py")
 ASYMPTOTICS_TESTS = ("test_asymptotics.py",)
 MU_TESTS = ("test_invariants.py", "test_acceptance.py")
 LATTICE_TESTS = ("test_latticesum.py",)
+CACHE_TESTS = ("test_cli.py", "test_cli_cache_oracle.py")
 
 MUTANTS = (
     # the shared-basis oracle
@@ -293,6 +294,48 @@ MUTANTS = (
         " - 6 * k * (order - k))",
         " + 6 * k * (order - k))",
         MU_TESTS,
+        "killed",
+    ),
+    # the sweep cache's reader and writer, on the one line layout
+    Mutant(
+        "cache-line-start-test-dropped",
+        "cli.py",
+        '        if start < 0 or (lead[start - 1] not in b"\\r\\n" if start else index > 1):\n',
+        "        if start < 0:\n",
+        CACHE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "cache-digest-comparison-inverted",
+        "cli.py",
+        'hexdigest().encode("ascii") != lead[-66:-2]:',
+        'hexdigest().encode("ascii") == lead[-66:-2]:',
+        CACHE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "cache-wanted-upper-end-inclusive",
+        "cli.py",
+        "        if m not in wanted:\n",
+        "        if not wanted.start <= m <= wanted.stop:\n",
+        CACHE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "cache-writer-layout-fields-swapped",
+        "cli.py",
+        """'{"n":%d,"row":{"chi_orb":"%s","h1":"%s",""",
+        """'{"n":%d,"row":{"h1":"%s","chi_orb":"%s",""",
+        CACHE_TESTS,
+        "killed",
+    ),
+    # the polygon verb's text, formatted from the integer pieces
+    Mutant(
+        "format-ratio-whole-only-at-denominator-one",
+        "exactmath.py",
+        "    if g == denominator:\n",
+        "    if denominator == 1:\n",
+        ("test_exactmath.py", "test_cli.py"),
         "killed",
     ),
     # h1 has no exact check past the cyclotomic oracle's range

@@ -130,6 +130,25 @@ def test_verbs_print_the_pinned_bytes(capsys, argv, code, stdout, stderr):
     assert capsys.readouterr() == (stdout, stderr)
 
 
+def test_polygon_verb_prints_the_fraction_pieces(capsys):
+    """The verb formats the integer pieces itself; it prints what encoding
+    the Fraction pieces of ``asymptotics.pieces`` prints."""
+    for n in range(1, 12):
+        for m in [*range(0, 41), 1000, 10**6]:
+            payload = {
+                "n": n,
+                "m": m,
+                "half_planes": cli.latticesum.polygon(n, m),
+                "pieces": [
+                    {"label": label, "vertices": vertices, "weight": dict(zip(("x1", "x2", "m", "const"), weight))}
+                    for label, (vertices, weight) in enumerate(cli.asymptotics.pieces(n, m))
+                ],
+            }
+            for flag, expected in (("--json", cli._JSON.encode(payload) + "\n"), ("--csv", cli._emit_csv(payload))):
+                assert cli.run(["polygon", "--n", str(n), "--m", str(m), "--no-timestamp", flag]) == 0
+                assert capsys.readouterr().out == expected, (n, m, flag)
+
+
 def test_integral_check_verb(capsys):
     code, payload = run_json(
         capsys, ["integral-check", "--n", "2", "--m", "6", "--no-timestamp"]
@@ -540,6 +559,66 @@ def test_cache_of_binary_bytes_is_recomputed(capsys, tmp_path):
     cold = _cold_sweep(capsys, 2, 3)
     assert _cached_sweep(capsys, cache, 2, 3) == (cold, 4)
     assert _cached_sweep(capsys, cache, 2, 3) == (cold, 0)
+
+
+def test_cache_serves_only_the_wanted_range(tmp_path):
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(b"".join(_old_writer_lines(3, 6)))
+    assert sorted(cli._load_cache(cache, 3, range(2, 5))) == [2, 3, 4]
+    assert sorted(cli._load_cache(cache, 3, range(0, 7))) == list(range(7))
+    assert cli._load_cache(cache, 3, range(4, 4)) == {}
+    assert cli._load_cache(cache, 4, range(0, 7)) == {}
+
+
+@pytest.mark.parametrize(
+    "before, served",
+    [(b"", True), (b"\n", True), (b"\r", True), (b"\r\n", True), (b"x", False), (b" ", False), (b"\n\t", False)],
+)
+def test_cache_line_served_only_at_a_line_start(tmp_path, before, served):
+    cache = tmp_path / "rows.jsonl"
+    line = _old_writer_lines(2, 0)[0]
+    cache.write_bytes(before + line)
+    assert cli._load_cache(cache, 2, range(1)) == ({0: cli._sweep_row(2, 0)} if served else {})
+    cache.write_bytes(_old_writer_lines(3, 0)[0].rstrip(b"\n") + before + line)  # behind a row of n = 3
+    assert cli._load_cache(cache, 2, range(1)) == ({0: cli._sweep_row(2, 0)} if served and before else {})
+
+
+def _signed(text):
+    """A cache line whose checksum verifies: text is canonical[1:]."""
+    digest = hashlib.sha256(b"{" + text).hexdigest().encode()
+    return b'{"checksum":"%s",%s\n' % (digest, text)
+
+
+SIGNED_ROW = b'"n":2,"row":{"chi_orb":"-10","h1":"7","hsum":3,"m":2,"mu":"0"}}'  # the writer's layout
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        SIGNED_ROW.replace(b":", b": ").replace(b",", b", "),
+        SIGNED_ROW.replace(b'"m":2', b'"m":02'),
+        SIGNED_ROW.replace(b'"hsum":3', b'"hsum":03'),
+        SIGNED_ROW.replace(b'"hsum":3', b'"hsum":-3'),
+        SIGNED_ROW.replace(b'"hsum":3', b'"hsum":"3"'),
+        SIGNED_ROW.replace(b'"7"', b'"+7"'),
+        SIGNED_ROW.replace(b'"7"', b'"7.0"'),
+        SIGNED_ROW.replace(b'"chi_orb":"-10","h1":"7"', b'"h1":"7","chi_orb":"-10"'),
+        SIGNED_ROW.replace(b'"mu":"0"}', b'"mu":"0","x":1}'),
+        SIGNED_ROW.replace(b'"0"}}', b'"0"},"x":1}'),
+    ],
+    ids=[
+        "spaces", "m-leading-zero", "hsum-leading-zero", "hsum-negative", "hsum-string",
+        "plus-sign", "decimal", "keys-unsorted", "extra-row-key", "extra-key",
+    ],
+)
+def test_cache_line_with_a_valid_checksum_served_only_in_the_writers_layout(tmp_path, text):
+    """Every line here verifies, but none is in the writer's layout.  The
+    line-by-line loader this reader replaced served some of them."""
+    cache = tmp_path / "rows.jsonl"
+    cache.write_bytes(_signed(SIGNED_ROW))
+    assert cli._load_cache(cache, 2, range(5)) == {2: {"m": 2, "hsum": 3, "mu": "0", "chi_orb": "-10", "h1": "7"}}
+    cache.write_bytes(_signed(text))
+    assert cli._load_cache(cache, 2, range(5)) == {}
 
 
 @pytest.mark.parametrize("where", ["missing-dir/rows.jsonl", "."], ids=["missing-dir", "directory"])

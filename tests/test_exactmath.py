@@ -12,6 +12,7 @@ from ansing.exactmath import (
     ceil_ratio,
     cyclotomic_polynomial,
     euler_phi,
+    format_ratio,
     format_rational,
     parse_rational,
     scale_to_integers,
@@ -70,6 +71,14 @@ def test_rational_string_codec():
     assert parse_rational("-5") == F(-5)
     for value in (F(0), F(7, 3), F(-22, 7), F(41)):
         assert parse_rational(format_rational(value)) == value
+
+
+def test_format_ratio_writes_what_format_rational_writes_of_the_fraction():
+    for p in range(-40, 41):
+        for q in range(1, 41):
+            assert format_ratio(p, q) == format_rational(F(p, q)), (p, q)
+    big = 3**200
+    assert format_ratio(-2 * big, 6 * big) == "-1/3" and format_ratio(4 * big, 2 * big) == "2"
 
 
 @pytest.mark.parametrize(
