@@ -4,9 +4,10 @@ For fixed n the upper half of the weight polygon tiles into n+2 pieces on
 which the weight is a single affine function of (x1, x2) and m.  Integrating
 those affine weights exactly gives a degree-3 polynomial in m whose leading
 coefficient is the closed-form cubic growth rate h0_omega(n); the lattice
-sum deviates from the integral by at most O(m).  Wherever n m >= 2 that
-polynomial is h0_omega(n) (m+1)^3 - (m+1)/(2(n+1)), which ``upper_integral``
-returns without building a piece (the proof is in its docstring).
+sum deviates from the integral by at most O(m).  ``upper_integral``
+returns that integral without building a piece: wherever n m >= 2 it is
+h0_omega(n) (m+1)^3 - (m+1)/(2(n+1)), and at m = 0 and n = m = 1, where the
+clip below acts, it has closed forms too (the proofs are in its docstring).
 
 The geometry is computed once, in integers: every vertex is a reduced triple
 (X, Y, Q), Q > 0, standing for the point (X/Q, Y/Q), and every weight is an
@@ -14,15 +15,15 @@ integer form over W in {1, 2}.  Pieces that degenerate for tiny m (a vertex
 drifting into x1 < 0, only at n m < 2) are clipped to x1 >= 0 on those
 triples, which leaves them in the closed positive quadrant.  They are
 public as ``integer_pieces``, which the ``polygon`` verb formats directly;
-``pieces`` turns the triples into Fractions; the piece sum
-``upper_integral`` takes at n m < 2 never does.
+``pieces`` turns the triples into Fractions.
 
 Integration is exact: each piece is fan-triangulated from its first vertex
 and an affine integrand contributes signed_area * (mean of the three vertex
 values) per triangle, which is an identity, not an approximation.  The sum is
-taken over the piece's vertices scaled to integers, and the piece sum forms
-one fraction from the n+2 integer results.  The same geometry and integral
-in Fraction arithmetic are test oracles in tests/fraction_kernels.py.
+taken over the piece's vertices scaled to integers, and ``integrate_piece``
+forms one fraction from it.  The tests check ``upper_integral`` against
+these piece integrals; the same geometry and integral in Fraction
+arithmetic are test oracles in tests/fraction_kernels.py.
 
 Both cubic rates live here: h0_omega(n) of the obstruction counts and
 h1_omega(n) of the localized cohomology h1(n, m), each sign * (4/3) * B(n) +
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Sequence
 
 from .exactmath import scale_to_integers
@@ -198,30 +199,50 @@ def upper_integral(n: int, m: int) -> Fraction:
       test_asymptotics.py fits it from the pieces for n <= 200).
 
     n m < 2, that is m = 0 or n = m = 1, is exactly where ``base_right`` =
-    ((mn - 2)/(n+2), 0) has x1 < 0 and the clip acts; there the integral is
-    the sum over the pieces.
+    ((mn - 2)/(n+2), 0) has x1 < 0 and the clip acts.  There tot < cap near
+    x1 = 0, so the strip argument fails, and each case has a closed form of
+    its own.
+
+    m = 0, with J = n // 2 and B(J) = 1 + 1/4 + ... + 1/J^2 (B(0) = 0):
+
+        (4/3) B(J) - 2 + (2/3) [(2J+3)/(J+1)^2 - 1/(n+1)
+                                + 1/((J+1)(n+1+J(n-J)))],
+
+    which is 0 at n = 1.  On x1 >= 0 at M = 1, cap = 1 - (N a - x1)+/2
+    with N = n + 1, and tot = sum_s (s a - x1)+/2 over the positive
+    slopes s_j = n-1-2j, j < J (those of the other ramps are <= 0).
+
+    - Put x1 = t a, so dx1 = a dt.  Then tot = beta a and cap = 1 - alpha a,
+      with alpha = (N - t)/2 and beta = sum_s (s - t)+/2, and w = 0 for
+      t >= n - 1.
+    - Over a, a min(1 - alpha a, beta a)+ integrates to
+      1/(6 alpha^2) - 1/(6 (alpha + beta)^2), and the first term over
+      0 <= t <= n - 1 to 1/3 - 2/(3N).
+    - The second term is (2/3)/D^2 with D = 2(alpha + beta), piecewise
+      linear in t, D(s_j) = (j+1)(j+2) and slope -(j+2) just below s_j.
+      So each full interval
+      (s_{j+1}, s_j) gives int dt/D^2 = 2/((x-1) x^2 (x+1)) with x = j + 2,
+      that is 1/(x-1) - 1/(x+1) - 2/x^2, which telescopes to the Basel
+      term over x = 2..J; the last interval, from 0 up to s_{J-1}, ends
+      at D(0) = N + J(n-J).
+
+    n = m = 1: the value is 3/8.  Write u = 1 - x1 in [0, 1] (tot = 0 for
+    x1 >= 1).  Then w = tot = u/2 for a <= 2 - u, and past that
+    w = cap = 2 - u/2 - a, which falls linearly to 0 at a = 2 - u/2.
+    Over a that is u (2 - u)/2 + u^2/8 = u - 3u^2/8, and over u it is 3/8.
     """
     if n < 1 or m < 0:
         raise ValueError("need n >= 1 and m >= 0")
-    if m * n < 2:
-        return _pieces_integral(n, m)
-    return h0_omega(n) * (m + 1) ** 3 - Fraction(m + 1, 2 * (n + 1))
-
-
-def _pieces_integral(n: int, m: int) -> Fraction:
-    """The sum of the n+2 piece integrals, exactly.
-
-    Each piece's triples are scaled to integers over the lcm L of their Q,
-    its integral taken as the integer pair (acc, 6 L^3 W), and the one
-    fraction formed is the sum of the acc over the lcm of the denominators.
-    """
-    terms = []
-    for verts, weight, wscale in integer_pieces(n, m):
-        scale = lcm(*[q for _, _, q in verts])
-        points = [(x * (scale // q), y * (scale // q)) for x, y, q in verts]
-        terms.append(_fan_integral(points, scale, weight, wscale, m))
-    common = lcm(*(den for _, den in terms))
-    return Fraction(sum(acc * (common // den) for acc, den in terms), common)
+    if m * n >= 2:
+        return h0_omega(n) * (m + 1) ** 3 - Fraction(m + 1, 2 * (n + 1))
+    if m:  # n = m = 1
+        return Fraction(3, 8)
+    j = n // 2
+    p, q = _basel(j)
+    bracket = (
+        Fraction(2 * j + 3, (j + 1) ** 2) - Fraction(1, n + 1) + Fraction(1, (j + 1) * (n + 1 + j * (n - j)))
+    )
+    return Fraction(4 * p, 3 * q) - 2 + Fraction(2, 3) * bracket
 
 
 def _basel_sums(n_max: int) -> Iterator[tuple[int, int]]:

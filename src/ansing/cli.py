@@ -252,7 +252,7 @@ DEGREE_LIMIT = 20
 MAX_PERIOD_LIMIT = 40
 ORACLE_N_LIMIT = 16  # oracle-verify: exact ranks block by block, a cost
 ORACLE_M_LIMIT = 30  # that grows polynomially in both n and m
-INTEGRAL_N_LIMIT = 1000  # integral-check: h0_omega(n)'s exact Basel pair; n + 2 pieces at m = 0
+INTEGRAL_N_LIMIT = 1000  # integral-check: the size of the exact Basel pair, B(n) or B(n // 2) at m = 0
 POLYGON_N_LIMIT = 10_000  # polygon: n + 2 pieces, each with exact vertices
 LIMITS_N_LIMIT = 100_000  # limits: float Basel sums of n_max terms for the gaps and ratios
 # omega: past it the exact rates' numerators exceed CPython's 4300-digit

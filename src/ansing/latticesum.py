@@ -154,21 +154,15 @@ def hsum(n: int, m: int) -> int:
         squares = (c - 1) * c * (2 * c - 1) // 6
         period = 2  # low and s are linear on each class of a mod 2
         sample = 3 * period  # the rows that give every class three
-        # (start, stop, count): evaluate rows start..stop-1; count > 0 marks
-        # them as the first 3 * period rows of a side of count rows
-        if last - first < 2 * sample - 1:
-            pieces = ((first, last + 1, 0),)
-        else:
-            pieces = []
-            for side_first, side_last in ((first, min(last, lower)), (max(first, lower + 1), last)):
-                count = side_last - side_first + 1
-                if count >= 2 * sample:
-                    pieces.append((side_first, side_first + sample, count))
-                elif count > 0:
-                    pieces.append((side_first, side_last + 1, 0))
-        for start, stop, count in pieces:
+        # the run, split after row lower if it holds the cut: a side of at
+        # least 2 * sample rows is summed from its first sample rows, a
+        # shorter one row by row
+        while first <= last:
+            side_last = lower if first <= lower < last else last
+            count = side_last - first + 1
+            sampled = count >= 2 * sample
             values = []
-            for a in range(start, stop):
+            for a in range(first, first + sample if sampled else side_last + 1):
                 span = n1 * a
                 # x1 starts at 0 while (n+1)a <= m+2, and at (n+1)a - m - 2 beyond
                 low = (m - span) >> 1 if span <= m2 else m1 - span
@@ -188,13 +182,13 @@ def hsum(n: int, m: int) -> int:
                     below = low - positive_from
                     if below > 0:
                         row -= below * (below + 1)
-                if count:
+                if sampled:
                     values.append(row)
                 else:
                     rows += row
-            if count:
+            if sampled:
                 rows += _class_sums(values, period, count)
-        first = last + 1
+            first = side_last + 1
     return row_zero + rows
 
 

@@ -141,9 +141,11 @@ MUTANTS = (
         ASYMPTOTICS_TESTS,
         "killed",
     ),
-    # upper_integral's closed form and its guard.  The guard m * n < 3 is an
-    # equivalent mutant, not listed: at n m = 2 the closed form and the piece
-    # sum agree
+    # upper_integral's closed forms and their guard.  Two neighbours of these
+    # are equivalent mutants, not listed: the guard m * n >= 3 (at n m = 2
+    # the cubic and the piece sum agree), and J = (n + 1) // 2 at m = 0 (at
+    # odd n it adds the ramp of slope 0, which is 0 on x1 >= 0; the form
+    # holds with either rounding for every n < 400)
     Mutant(
         "upper-integral-cube-of-m",
         "asymptotics.py",
@@ -161,10 +163,42 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "upper-integral-guard-misses-n-m-one",
+        "upper-integral-guard-takes-n-m-one",
         "asymptotics.py",
-        "    if m * n < 2:\n",
-        "    if m * n < 1:\n",
+        "    if m * n >= 2:\n",
+        "    if m * n >= 1:\n",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-one-one-over-7",
+        "asymptotics.py",
+        "Fraction(3, 8)",
+        "Fraction(3, 7)",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-m-zero-last-d-one-short",
+        "asymptotics.py",
+        "(n - j)",
+        "(n - j - 1)",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-m-zero-cap-term-over-n-plus-2",
+        "asymptotics.py",
+        "Fraction(1, n + 1)",
+        "Fraction(1, n + 2)",
+        ASYMPTOTICS_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "upper-integral-m-zero-one-slope-too-many",
+        "asymptotics.py",
+        "    j = n // 2\n",
+        "    j = n // 2 + 1\n",
         ASYMPTOTICS_TESTS,
         "killed",
     ),

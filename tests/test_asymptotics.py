@@ -13,15 +13,16 @@ from ansing.asymptotics import (
     h0_omega_limit_float,
     h0_omega_limit_report,
     h1_omega_sum,
+    integer_pieces,
     integrate_piece,
     omega_rates,
     pieces,
     upper_integral,
     _basel_sums,
+    _fan_integral,
     _h0_terms,
     _h1_terms,
     _increasing_to,
-    _pieces_integral,
 )
 from ansing.invariants import h1_omega
 from ansing.quasifit import fit
@@ -493,20 +494,35 @@ def test_integral_cubic_fit_leading_coefficient():
         assert coeffs[2] == 3 * h0_omega(n)
 
 
+def _pieces_integral(n, m):
+    """The sum of the n+2 piece integrals, in integers: the geometry of
+    pieces and integrate_piece without their Fractions, about a quarter of
+    _geometry_integral's cost.  Each piece's triples are scaled to integers
+    over the lcm L of their Q and integrated as the pair (acc, 6 L^3 W), and
+    one fraction is formed over the lcm of the denominators."""
+    terms = []
+    for verts, weight, wscale in integer_pieces(n, m):
+        scale = math.lcm(*[q for _, _, q in verts])
+        points = [(x * (scale // q), y * (scale // q)) for x, y, q in verts]
+        terms.append(_fan_integral(points, scale, weight, wscale, m))
+    common = math.lcm(*(den for _, den in terms))
+    return F(sum(acc * (common // den) for acc, den in terms), common)
+
+
 def test_upper_integral_closed_form_equals_the_pieces():
     # from the first m with n m >= 2 on the clip does not act and both sides
-    # are cubics in m, so four consecutive m prove the identity at each n.
-    # The piece sum in integers (_pieces_integral) is the geometry of
-    # pieces and integrate_piece without their Fractions.
+    # are cubics in m, so four consecutive m prove the identity at each n
     for n in [*range(1, 201), 1000]:
         first = 2 if n == 1 else 1
         for m in range(first, first + 4):
             closed = h0_omega(n) * (m + 1) ** 3 - F(m + 1, 2 * (n + 1))
             assert upper_integral(n, m) == closed == _pieces_integral(n, m), (n, m)
-    # around the clip boundary, n m in {1, 2}; (1, 1) still takes the piece sum
+        # m = 0, where the clip acts, has a closed form in n of its own
+        assert upper_integral(n, 0) == _pieces_integral(n, 0), n
+    # around the clip boundary, n m in {1, 2}; (1, 1) is the constant 3/8
     for n, m in ((1, 1), (1, 2), (2, 1)):
         assert upper_integral(n, m) == _geometry_integral(n, m), (n, m)
-    assert upper_integral(1, 1) != h0_omega(1) * 8 - F(2, 4)
+    assert upper_integral(1, 1) == F(3, 8) != h0_omega(1) * 8 - F(2, 4)
 
 
 def test_h0_asymptotic_check_example1_bound():

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import Phase, example, given, settings, strategies as st  # noqa: E402
 
 from ansing import cli  # noqa: E402
 from ansing.exactmath import format_rational  # noqa: E402
@@ -86,7 +86,14 @@ def _edit(data: bytes, edit) -> bytes:
     return b"\n".join(lines)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+# no shrink phase: each example writes and re-reads a cache file, so
+# shrinking a failure took minutes; the failing example is reported unshrunk
+@settings(
+    derandomize=True,
+    max_examples=200,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target),
+)
 @given(batches=batches, edits=edits, low=st.integers(0, M_TOP + 1), width=st.integers(0, M_TOP + 2))
 def test_reader_serves_what_the_line_by_line_loader_serves(batches, edits, low, width):
     with tempfile.TemporaryDirectory() as tmp:
